@@ -145,8 +145,33 @@ def read_header(path) -> dict:
             raise ArchiveError(f"{path}: header is not valid JSON ({exc})") from None
 
 
+def _check_header(path, header) -> None:
+    """Reject a header whose payload fields are missing or mistyped."""
+    if not isinstance(header, dict):
+        raise ArchiveError(f"{path}: header is not a JSON object")
+    shape = header.get("shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ArchiveError(f"{path}: header 'shape' must be two non-negative integers, got {shape!r}")
+    offset = header.get("payload_offset")
+    if not (isinstance(offset, str) and offset.isdigit()):
+        raise ArchiveError(f"{path}: header 'payload_offset' must be a digit string, got {offset!r}")
+    size = header.get("payload_bytes")
+    k, dim = shape
+    if not (type(size) is int and size == 8 * k * (dim + 1)):
+        raise ArchiveError(
+            f"{path}: header 'payload_bytes' must be {8 * k * (dim + 1)} for shape {shape}, got {size!r}"
+        )
+    if not isinstance(header.get("checksum_blake2b64"), str):
+        raise ArchiveError(f"{path}: header 'checksum_blake2b64' must be a string")
+
+
 def read_archive(path, check: bool = True) -> Archive:
     header = read_header(path)
+    _check_header(path, header)
     k, dim = header["shape"]
     payload_offset = int(header["payload_offset"])
     with open(path, "rb") as fh:

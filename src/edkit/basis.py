@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import Bipartition, Geometry
+from .lattice import Bipartition, Geometry, GeometryError
 
 __all__ = [
     "FermionState",
@@ -35,6 +35,7 @@ __all__ = [
     "FERMIONIC_KINDS",
     "SPIN_KINDS",
     "is_fermionic_kind",
+    "check_site_limit",
     "enumerate_sector",
     "sector_dimension",
     "multiplet_counts",
@@ -55,6 +56,18 @@ def is_fermionic_kind(kind: str) -> bool:
     if kind in SPIN_KINDS:
         return False
     raise SectorError(f"unknown model kind {kind!r}")
+
+
+def check_site_limit(n_sites: int, model_kind: str) -> None:
+    """Reject geometries wider than the state encodings: fermion masks hold
+    one bit per site in a uint64, spin codes two bits per site."""
+    fermionic = is_fermionic_kind(model_kind)
+    limit = 64 if fermionic else 32
+    if n_sites > limit:
+        raise GeometryError(
+            f"{n_sites} sites exceed the {limit}-site limit of "
+            f"{'fermion' if fermionic else 'spin'} models"
+        )
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .symmetry import SymmetryError, classify, format_label, parse_label
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_OUT_OF_MEMORY = "out of memory: the sector, its operator or the solver workspace does not fit in RAM"
 
 
 def _fmt(x: float) -> str:
@@ -343,6 +344,10 @@ def cmd_run(args) -> int:
         ctx.finish("failed", error=str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        ctx.finish("failed", error=_OUT_OF_MEMORY)
+        print(_OUT_OF_MEMORY, file=sys.stderr)
+        return EXIT_NUMERICAL
     ctx.finish("ok", extra=extra)
     print(f"task {cfg.task}: ok ({len(ctx.files)} artifact(s) in {cfg.output})")
     return EXIT_OK
@@ -373,18 +378,21 @@ def _verify_checks(arch: Archive, tol: float):
 def cmd_verify(args) -> int:
     try:
         arch = read_archive(args.archive)
+        print(f"PASS checksum: payload intact ({arch.header['payload_bytes']} bytes)")
+        tol = args.tol if args.tol is not None else arch.tol
+        failed = False
+        for name, ok, detail in _verify_checks(arch, tol):
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            failed |= not ok
     except ArchiveChecksumError as exc:
         print(f"FAIL checksum: {exc}")
         return EXIT_NUMERICAL
     except ArchiveError as exc:
         print(f"unreadable archive: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"PASS checksum: payload intact ({arch.header['payload_bytes']} bytes)")
-    tol = args.tol if args.tol is not None else arch.tol
-    failed = False
-    for name, ok, detail in _verify_checks(arch, tol):
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed |= not ok
+    except MemoryError:
+        print(_OUT_OF_MEMORY, file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .basis import Sector
+from .basis import Sector, check_site_limit
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, load_geometry
 
@@ -197,6 +197,7 @@ def _validate(cfg: RunConfig) -> None:
     if needs_solve_blocks:
         model = cfg.model()
         geometry = cfg.geometry()
+        check_site_limit(geometry.n_sites, model.kind)
         sector = cfg.sector(model)
         if model.fermionic and sector.n_electrons > 2 * geometry.n_sites:
             raise ConfigError(
@@ -207,7 +208,7 @@ def _validate(cfg: RunConfig) -> None:
     if task in ("sector-table", "histogram", "entangle", "profile", "dos"):
         cfg._get_int("entangle", "left_size", required=True)
     if task == "sweep":
-        cfg.model()
+        model = cfg.model()
         mode = cfg._get("sweep", "mode", required=True)
         if mode not in ("length", "block"):
             raise ConfigError(f"[sweep] mode must be 'length' or 'block', got {mode!r}")
@@ -219,8 +220,9 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError(f"[sweep] lengths must be integers, got {raw!r}") from None
             if any(n % 2 or n < 4 for n in lengths):
                 raise ConfigError("[sweep] lengths must be even integers >= 4")
+            check_site_limit(max(lengths, default=0), model.kind)
         else:
-            cfg._get_int("sweep", "n_sites", required=True)
+            check_site_limit(cfg._get_int("sweep", "n_sites", required=True), model.kind)
     tgt = cfg.target()
     if tgt["k"] < 1:
         raise ConfigError("[target] k must be at least 1")

@@ -1,10 +1,11 @@
-"""Eigensolvers: dense full spectra and a locking Lanczos for large sectors.
+"""Eigensolvers: dense full spectra and ARPACK Lanczos for large sectors.
 
-The Lanczos iteration keeps every Krylov vector and reorthogonalizes twice
-per step, so degeneracy grouping downstream never sees ghost copies.
-Converged eigenpairs are locked and deflated, and the iteration restarts
-inside their orthogonal complement; repeated eigenvalues of multiplicity
-g > 1 are recovered by g successive locks.  All start vectors come from a
+`lanczos_lowest` runs implicitly restarted Lanczos (ARPACK, through
+scipy's `eigsh`), so at most a fixed number of Lanczos vectors is held.
+One Krylov space carries a single copy of each degenerate eigenvalue, so
+for k > 1 a probe then searches the deflated complement of the found
+vectors for a missed copy below the k-th value, swaps it in, and repeats
+until the complement holds nothing lower.  All start vectors come from a
 seeded generator, which makes solves reproducible.
 """
 
@@ -16,6 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .basis import BasisTable
 from .hamiltonian import SparseOperator
@@ -117,17 +119,16 @@ def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_matvec(operator) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+def _as_matrix(operator):
+    """The sparse or dense matrix behind an operator; every product uses `@`."""
     if isinstance(operator, SparseOperator):
-        mat = operator.matrix
-        return (lambda v: mat @ v), operator.dim
+        return operator.matrix
     if sp.issparse(operator):
-        mat = operator.tocsr()
-        return (lambda v: mat @ v), mat.shape[0]
+        return operator.tocsr()
     arr = np.asarray(operator, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SolverError("operator must be square")
-    return (lambda v: arr @ v), arr.shape[0]
+    return arr
 
 
 def dense_spectrum(operator, cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
@@ -181,17 +182,19 @@ def lanczos_lowest(
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     allow_fewer: bool = False,
 ) -> EigenSet:
-    """Lowest k eigenpairs by restarted Lanczos with locking.
+    """Lowest k eigenpairs by implicitly restarted Lanczos (ARPACK).
 
-    Every Krylov vector is kept and reorthogonalized against (twice per
-    step), converged Ritz vectors are locked and deflated, and the next
-    pass restarts from the best unconverged Ritz vector.  With `project`
-    given, every start vector and matrix-vector product is re-projected,
-    confining the iteration to an invariant subspace; `allow_fewer` then
-    permits returning everything that subspace holds when it is smaller
-    than k.
+    At most `max_basis` Lanczos vectors are held at once, and the solve
+    stops with NonConvergenceError after about `max_matvecs` products.
+    With `project` given, the solve runs on P H P + c (1 - P), with c above
+    the whole spectrum of H, so the complement of the (invariant) symmetry
+    subspace sits above every wanted eigenvalue; `allow_fewer` then permits
+    returning everything that subspace holds when it is smaller than k.
+    Every returned vector has its residual ||H x - lambda x|| checked
+    against `tol`.
     """
-    matvec, dim = _as_matvec(operator)
+    mat = _as_matrix(operator)
+    dim = mat.shape[0]
     if k < 1:
         raise SolverError(f"k must be at least 1, got {k}")
     if dim == 0:
@@ -199,153 +202,85 @@ def lanczos_lowest(
     if k > dim:
         raise SolverError(f"requested {k} eigenpairs from a dimension-{dim} sector")
     rng = np.random.default_rng(seed)
-    max_basis = max(2, min(max_basis, dim))
+    # Gershgorin: every eigenvalue of H lies in [-(c - 1), c - 1].  ARPACK
+    # works on H + c, whose spectrum lies in [1, 2c - 1]: it misses an exactly
+    # zero eigenvalue, and its convergence test is relative to |theta|.
+    c = float(np.max(abs(mat).sum(axis=1))) + 1.0
+    matvecs = 0
 
-    locked: list[np.ndarray] = []
-    locked_vals: list[float] = []
-    locked_res: list[float] = []
-    state = {"matvecs": 0, "best_res": np.inf}
+    def op(x: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        x = np.ravel(x)
+        if project is None:
+            return mat @ x + c * x
+        px = project(x)
+        return project(mat @ px) + c * px + 2.0 * c * (x - px)
 
-    def prep(v: np.ndarray) -> np.ndarray:
-        if project is not None:
-            v = project(v)
-        for u in locked:
-            v = v - (u @ v) * u
-        return v
+    def rayleigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unit columns, their Rayleigh quotients and true residuals."""
+        x = x / np.linalg.norm(x, axis=0)
+        hx = mat @ x
+        vals = np.einsum("ij,ij->j", x, hx)
+        return x, vals, np.linalg.norm(hx - x * vals, axis=0)
 
-    def krylov_pass(start: np.ndarray, need: int) -> tuple[list[tuple[float, np.ndarray, float]], np.ndarray | None, bool]:
-        """One deflated Lanczos pass; returns (converged pairs, continuation
-        vector, breakdown flag)."""
-        v = start / np.linalg.norm(start)
-        vmat = np.empty((max_basis, dim))
-        vmat[0] = v
-        alphas: list[float] = []
-        betas: list[float] = []
-        nvec = 1
-        breakdown = False
-        while True:
-            j = nvec - 1
-            w = matvec(vmat[j])
-            state["matvecs"] += 1
-            if project is not None:
-                w = project(w)
-            a = float(vmat[j] @ w)
-            alphas.append(a)
-            w = w - a * vmat[j]
-            if j > 0:
-                w = w - betas[-1] * vmat[j - 1]
-            basis_block = vmat[:nvec]
-            for _ in range(2):
-                w = w - basis_block.T @ (basis_block @ w)
-                for u in locked:
-                    w = w - (u @ w) * u
-            b = float(np.linalg.norm(w))
-            ready = False
-            if nvec >= 2:
-                theta, y = sla.eigh_tridiagonal(alphas, betas)
-                ests = b * np.abs(y[-1, :])
-                ready = bool(np.all(ests[: min(need, nvec)] <= 0.2 * tol))
-            if b < 1e-13:
-                breakdown = True
-                break
-            if ready or nvec == max_basis or state["matvecs"] >= max_matvecs:
-                break
-            vmat[nvec] = w / b
-            betas.append(b)
-            nvec += 1
-        theta, y = sla.eigh_tridiagonal(alphas, betas)
-        converged: list[tuple[float, np.ndarray, float]] = []
-        continuation = None
-        for i in range(len(theta)):
-            if len(converged) >= need and continuation is not None:
-                break
-            x = vmat[:nvec].T @ y[:, i]
-            x = prep(x)
-            nx = np.linalg.norm(x)
-            if nx < 1e-8:
-                continue
-            x = x / nx
-            hx = matvec(x)
-            state["matvecs"] += 1
-            if project is not None:
-                hx = project(hx)
-            lam = float(x @ hx)
-            r = float(np.linalg.norm(hx - lam * x))
-            state["best_res"] = min(state["best_res"], r)
-            if r <= tol and len(converged) < need:
-                converged.append((lam, x, r))
-            elif continuation is None:
-                continuation = x
-        return converged, continuation, breakdown
-
-    def random_start() -> np.ndarray | None:
-        for _ in range(8):
-            v = prep(rng.standard_normal(dim))
-            if np.linalg.norm(v) > 1e-10:
-                return v
-        return None
-
-    def run_until(need: int) -> None:
-        """Lock `need` more eigenpairs of the deflated operator."""
-        target = len(locked_vals) + need
-        start = None
-        stalls = 0
-        while len(locked_vals) < target:
-            if start is None:
-                start = random_start()
-                if start is None:
-                    raise SubspaceExhaustedError(
-                        "search subspace exhausted before finding the requested states "
-                        f"({len(locked_vals)} of {k} found)"
-                    )
-            converged, continuation, breakdown = krylov_pass(start, target - len(locked_vals))
-            for lam, x, r in converged:
-                locked.append(x)
-                locked_vals.append(lam)
-                locked_res.append(r)
-            if len(locked_vals) >= target:
-                return
-            # after a lock (or breakdown) restart randomly: one Krylov space
-            # carries a single copy of each degenerate eigenvalue, so missed
-            # copies live in the deflated complement
-            start = None if (converged or breakdown) else continuation
-            stalls = 0 if converged else stalls + 1
-            if state["matvecs"] >= max_matvecs or stalls > 60:
-                raise NonConvergenceError(
-                    f"Lanczos failed to converge {k} eigenpairs within {state['matvecs']} products",
-                    state["best_res"],
-                )
-
-    try:
-        run_until(k)
-    except SubspaceExhaustedError:
-        if not (allow_fewer and locked_vals):
-            raise
-    # completeness sweep: keep probing the deflated complement for anything
-    # below the current k-th value (missed degenerate partners).  A single
-    # lowest eigenpair never needs it: the first pass converges the global
-    # minimum of the (projected) operator.
-    deg_tol = 1e-9
-    while k > 1 and len(locked_vals) < dim:
-        kth = max(locked_vals)
+    def lowest(apply: Callable[[np.ndarray], np.ndarray], need: int) -> tuple[np.ndarray, np.ndarray]:
+        if need >= dim - 1:  # too small for ARPACK: diagonalize the same map densely
+            dense = np.column_stack([apply(e) for e in np.eye(dim)])
+            vals, vecs = sla.eigh(0.5 * (dense + dense.T))
+            return vals[:need] - c, vecs[:, :need]
+        ncv = min(dim, max(need + 1, min(max_basis, max(2 * need + 1, 20))))
+        v0 = rng.standard_normal(dim)
         try:
-            run_until(1)
-        except SubspaceExhaustedError:
-            break
-        if locked_vals[-1] < kth - deg_tol * max(1.0, abs(kth)):
-            evict = int(np.argmax(locked_vals[:-1]))
-            # drop the previous k-th largest, keep the newly found lower state
-            del locked[evict], locked_vals[evict], locked_res[evict]
-        else:
-            del locked[-1], locked_vals[-1], locked_res[-1]
-            break
+            # ARPACK's test is ||r|| <= tol' |theta|, and |theta| < 2c here
+            vals, vecs = spla.eigsh(
+                spla.LinearOperator((dim, dim), matvec=apply, dtype=float),
+                k=need, which="SA", tol=tol / (2.0 * c), ncv=ncv, v0=v0,
+                maxiter=max(1, (max_matvecs - matvecs) // ncv),
+            )
+            return vals - c, vecs
+        except spla.ArpackNoConvergence as err:
+            # best of the start vector and any Ritz vectors ARPACK converged
+            res = rayleigh(np.column_stack([v0, err.eigenvectors]))[2]
+            raise NonConvergenceError(
+                f"ARPACK failed to converge {need} eigenpairs within {matvecs} products",
+                float(res.min()),
+            ) from None
 
-    vecs = _canonical_sign(np.column_stack(locked))
-    return EigenSet(
-        values=np.array(locked_vals),
-        vectors=vecs,
-        residuals=np.array(locked_res),
-    )
+    vals, vecs = lowest(op, k)
+    # completeness probe: one Krylov space carries a single copy of each
+    # degenerate eigenvalue, so look for missed partners below the k-th value
+    # in the deflated complement.  ARPACK's lowest single eigenpair needs none.
+    deg_tol = 1e-9
+    while 1 < k < dim - 1:
+        def deflated(x: np.ndarray) -> np.ndarray:
+            x = np.ravel(x)
+            a = vecs.T @ x
+            y = op(x - vecs @ a)
+            return y - vecs @ (vecs.T @ y) + 2.0 * c * (vecs @ a)
+
+        theta, x = lowest(deflated, 1)
+        evict = int(np.argmax(vals))
+        if theta[0] >= vals[evict] - deg_tol * max(1.0, abs(vals[evict])):
+            break
+        x = x[:, 0] - vecs @ (vecs.T @ x[:, 0])
+        vals[evict], vecs[:, evict] = theta[0], x / np.linalg.norm(x)
+
+    keep = vals < c - 0.5  # values near c belong to the projected-out complement
+    if keep.sum() < k and not (allow_fewer and keep.any()):
+        raise SubspaceExhaustedError(
+            f"search subspace holds only {int(keep.sum())} of the {k} requested states"
+        )
+    vecs = vecs[:, keep]
+    if project is not None:
+        vecs = np.column_stack([project(v) for v in vecs.T])
+    vecs, vals, res = rayleigh(_canonical_sign(vecs))
+    if res.max() > tol:
+        raise NonConvergenceError(
+            f"{int(np.sum(res > tol))} of {len(vals)} eigenpairs miss the residual tolerance {tol:.1e}",
+            float(res.min()),
+        )
+    return EigenSet(values=vals, vectors=vecs, residuals=res)
 
 
 def group_degenerate(eigenset: EigenSet, rel_tol: float = 1e-9) -> list[DegenerateManifold]:
@@ -403,10 +338,10 @@ def lowest_in_label(
 ) -> EigenSet:
     """Lowest k eigenstates carrying a (C2, eh, S) label.
 
-    The Lanczos iteration runs with every iterate re-projected onto the
-    requested (C2, eh) subspace; the sector must be the label's
-    highest-weight sector (2M_S = 2S).  Total spin is verified on every
-    candidate and only matching states are returned.
+    The Lanczos solve runs inside the requested (C2, eh) subspace; the
+    sector must be the label's highest-weight sector (2M_S = 2S).  Total
+    spin is verified on every candidate and only matching states are
+    returned.
     """
     basis = operator.basis
     want_tm = label.twice_ms_highest

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from edkit.archive import (
     write_archive,
 )
 from edkit.basis import Sector
+from edkit.cli import main
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import build_chain
 from edkit.solver import EigenSet, dense_spectrum
@@ -80,3 +83,28 @@ def test_not_an_archive(tmp_path):
     path.write_bytes(b"hello world, definitely not an archive")
     with pytest.raises(ArchiveError, match="not an edkit"):
         read_archive(path)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda h: h.pop("shape"), "shape"),
+        (lambda h: h.update(shape=[3]), "shape"),
+        (lambda h: h.update(shape=[-1, 36]), "shape"),
+        (lambda h: h.pop("payload_offset"), "payload_offset"),
+        (lambda h: h.update(payload_bytes="888"), "payload_bytes"),
+        (lambda h: h.update(payload_bytes=8), "payload_bytes"),
+        (lambda h: h.pop("checksum_blake2b64"), "checksum_blake2b64"),
+    ],
+)
+def test_verify_rejects_malformed_header(solved, capsys, edit, field):
+    path, *_ = solved
+    header = read_header(path)
+    payload = path.read_bytes()[int(header["payload_offset"]):]
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    path.write_bytes(f"EDKITARCHIVE1 {len(blob):016d}\n".encode("ascii") + blob + payload)
+    with pytest.raises(ArchiveError, match=field):
+        read_archive(path)
+    assert main(["verify", str(path)]) == 2
+    assert f"unreadable archive: {path}: header '{field}'" in capsys.readouterr().err

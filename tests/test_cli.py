@@ -406,3 +406,38 @@ def test_histogram_task(tmp_path):
     lines = (tmp_path / "hist_out" / "state1_decades.csv").read_text().splitlines()
     assert lines[1] == "decade,count"
     assert len(lines) == 2 + 16
+
+
+def test_site_limits_exit_2(tmp_path, capsys):
+    fermion = SOLVE_CFG.format(out=tmp_path / "out").replace("n_sites = 2", "n_sites = 70")
+    fermion = fermion.replace("n_electrons = 2", "n_electrons = 70")
+    assert main(["run", str(_write(tmp_path, "fermion.cfg", fermion))]) == 2
+    assert "70 sites exceed the 64-site limit of fermion models" in capsys.readouterr().err
+    spin = "[run]\ntask = solve\n[geometry]\nkind = chain\nn_sites = 40\n[model]\nkind = heisenberg\n"
+    assert main(["run", str(_write(tmp_path, "spin.cfg", spin))]) == 2
+    assert "40 sites exceed the 32-site limit of spin models" in capsys.readouterr().err
+    sweep = (
+        "[run]\ntask = sweep\n[model]\nkind = heisenberg\n"
+        "[sweep]\nmode = block\nn_sites = 34\n"
+    )
+    assert main(["run", str(_write(tmp_path, "sweep.cfg", sweep))]) == 2
+    assert "34 sites exceed the 32-site limit" in capsys.readouterr().err
+
+
+def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
+    import edkit.cli as cli
+
+    cfg = _write(tmp_path, "solve.cfg", SOLVE_CFG.format(out=tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_model", exhausted)
+    assert main(["run", str(cfg)]) == 3
+    assert "out of memory" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert main(["verify", str(tmp_path / "out" / "eigenpairs.edarch")]) == 3
+    assert "out of memory" in capsys.readouterr().err

@@ -223,3 +223,55 @@ def test_sharpen_spin_separates_mixed_manifold():
     sharp = sharpen_spin(mixed, h.basis)
     spins = sorted(total_spin(sharp.vectors[:, i], h.basis) for i in range(2))
     assert spins == [0.0, 1.0]
+
+
+def test_lanczos_nonconvergence_best_residual_finite():
+    g = build_chain(8)
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    for k in (1, 3):
+        with pytest.raises(NonConvergenceError) as err:
+            lanczos_lowest(h, k=k, tol=1e-14, max_basis=5, max_matvecs=40)
+        assert np.isfinite(err.value.best_residual)
+        assert err.value.best_residual > 0
+
+
+def test_lanczos_projected_k4_eight_site_subspace():
+    g = build_chain(8)
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    proj = projector(h.basis, g, 1, 1)  # the 1_Ag+ (C2, eh) subspace
+    a = lanczos_lowest(h, k=4, tol=1e-10, seed=3, project=proj.apply)
+    b = lanczos_lowest(h, k=4, tol=1e-10, seed=3, project=proj.apply)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.vectors, b.vectors)
+    res = np.linalg.norm(h.matrix @ a.vectors - a.vectors * a.values[None, :], axis=0)
+    assert np.all(res <= 1e-10)
+    for i in range(a.k):
+        v = a.vectors[:, i]
+        assert np.linalg.norm(proj.apply(v) - v) <= 1e-8
+    sub = dense_subspace_spectrum(h, proj.orbit_basis())
+    assert np.abs(a.values - sub.values[:4]).max() < 1e-9
+
+
+def test_lanczos_probe_swaps_in_missed_partner(monkeypatch):
+    # The icosahedron's lowest six states are a singlet and a 5-fold level.
+    # One Krylov space carries a single copy of each degenerate level, and
+    # the block solve comes back with the 5-fold level incomplete; only the
+    # deflated-complement probe recovers the missing copies.
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    ico = build_icosahedron()
+    h = build_model(ico, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0))
+    eig = lanczos_lowest(h, k=6, tol=1e-10, seed=1)
+    # one block solve, then probes; a probe that finds nothing new ends the
+    # loop, so three or more calls mean at least one partner was swapped in
+    assert calls[0] == 6 and len(calls) >= 3
+    assert np.abs(eig.values - dense_spectrum(h).values[:6]).max() < 1e-9
+    assert [m.multiplicity for m in group_degenerate(eig)] == [1, 5]
