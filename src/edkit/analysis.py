@@ -124,15 +124,20 @@ def _map_ordered(fn: Callable, args: Sequence) -> list:
         return list(pool.map(fn, args))
 
 
+def _energy_bins(energies: np.ndarray, bin_width: float) -> tuple[float, np.ndarray]:
+    """E_min and the bin index floor((E - E_min) / w) of every energy."""
+    if bin_width <= 0:
+        raise AnalysisError(f"bin width must be positive, got {bin_width}")
+    e_min = float(energies.min())
+    return e_min, np.floor((energies - e_min) / bin_width).astype(np.int64)
+
+
 def dos_histogram(eigenvalues: Sequence[float], bin_width: float = 0.5) -> Profile:
     """Counts of eigenvalues per [E_min + k w, E_min + (k+1) w) bin."""
     ev = np.asarray(eigenvalues, dtype=float)
     if ev.size == 0:
         raise AnalysisError("empty eigenvalue list")
-    if bin_width <= 0:
-        raise AnalysisError(f"bin width must be positive, got {bin_width}")
-    e_min = float(ev.min())
-    idx = np.floor((ev - e_min) / bin_width).astype(np.int64)
+    e_min, idx = _energy_bins(ev, bin_width)
     counts = np.bincount(idx)
     centers = e_min + (np.arange(len(counts)) + 0.5) * bin_width
     return Profile(
@@ -210,10 +215,7 @@ def entropy_profile(
         y = np.array([entropies[g].mean() for g in groups])
         return Profile(x=x, y=y, metadata=meta)
     if smoothing == "energy_bin":
-        if bin_width <= 0:
-            raise AnalysisError(f"bin width must be positive, got {bin_width}")
-        e_min = float(energies.min())
-        idx = np.floor((energies - e_min) / bin_width).astype(np.int64)
+        e_min, idx = _energy_bins(energies, bin_width)
         xs, ys = [], []
         for b in np.unique(idx):
             sel = idx == b
@@ -224,6 +226,13 @@ def entropy_profile(
     raise AnalysisError(f"unknown smoothing mode {smoothing!r}")
 
 
+def _default_sector(geometry: Geometry, spec: ModelSpec) -> Sector:
+    """The half-filled sector, or the lowest-|M_S| sector of a spin model."""
+    if spec.kind == "heisenberg":
+        return Sector(None, (geometry.n_sites * round(2 * spec.site_spin)) % 2)
+    return Sector(geometry.n_sites, geometry.n_sites % 2)
+
+
 def ground_state_entropy(
     geometry: Geometry,
     spec: ModelSpec,
@@ -232,12 +241,7 @@ def ground_state_entropy(
     seed: int = 1,
 ) -> float:
     """Half-filled (or lowest-|M_S|) ground-state entanglement entropy in bits."""
-    if spec.kind == "heisenberg":
-        twice = round(2 * spec.site_spin)
-        sector = Sector(None, (geometry.n_sites * twice) % 2)
-    else:
-        sector = Sector(geometry.n_sites, geometry.n_sites % 2)
-    h = build_model(geometry, spec, sector)
+    h = build_model(geometry, spec, _default_sector(geometry, spec))
     eig = lanczos_lowest(h, k=1, tol=tol, seed=seed)
     cut = bipartition if bipartition is not None else half_cut(geometry, geometry.n_sites // 2)
     return schmidt_spectrum(eig.vectors[:, 0], h.basis, cut).total_entropy
@@ -285,12 +289,7 @@ def sweep_block_size(
         if not 1 <= b < n_sites:
             raise AnalysisError(f"block size {b} outside 1..{n_sites - 1}")
     geometry = build_chain(n_sites, bond_length)
-    if spec.kind == "heisenberg":
-        twice = round(2 * spec.site_spin)
-        sector = Sector(None, (n_sites * twice) % 2)
-    else:
-        sector = Sector(n_sites, n_sites % 2)
-    h = build_model(geometry, spec, sector)
+    h = build_model(geometry, spec, _default_sector(geometry, spec))
     eig = lanczos_lowest(h, k=1, tol=tol, seed=seed)
     v = eig.vectors[:, 0]
 
@@ -440,12 +439,8 @@ def entropy_vs_logdos(
     observed proportionality between entropy and log(DoS); with fewer than
     four non-empty bins it is undefined and reported as None.
     """
-    if bin_width <= 0:
-        raise AnalysisError(f"bin width must be positive, got {bin_width}")
-    energies = eigenset.values
+    e_min, idx = _energy_bins(eigenset.values, bin_width)
     entropies = _state_entropies(eigenset, basis, bipartition)
-    e_min = float(energies.min())
-    idx = np.floor((energies - e_min) / bin_width).astype(np.int64)
     centers, means, logdos = [], [], []
     for b in np.unique(idx):
         sel = idx == b

@@ -146,7 +146,8 @@ def read_header(path) -> dict:
 
 
 def _check_header(path, header) -> None:
-    """Reject a header whose payload fields are missing or mistyped."""
+    """Reject a header whose payload or scalar fields are missing or mistyped;
+    `model`, `sector` and `geometry` are checked when they are decoded."""
     if not isinstance(header, dict):
         raise ArchiveError(f"{path}: header is not a JSON object")
     shape = header.get("shape")
@@ -167,11 +168,38 @@ def _check_header(path, header) -> None:
         )
     if not isinstance(header.get("checksum_blake2b64"), str):
         raise ArchiveError(f"{path}: header 'checksum_blake2b64' must be a string")
+    residuals = header.get("residuals")
+    if not (isinstance(residuals, list) and len(residuals) == k and all(map(_is_number, residuals))):
+        raise ArchiveError(f"{path}: header 'residuals' must be a list of {k} numbers")
+    labels = header.get("labels")
+    if not (labels is None or (
+        isinstance(labels, list) and len(labels) == k and all(isinstance(x, str) for x in labels)
+    )):
+        raise ArchiveError(f"{path}: header 'labels' must be null or a list of {k} strings")
+    if not _is_number(header.get("tol")):
+        raise ArchiveError(f"{path}: header 'tol' must be a number, got {header.get('tol')!r}")
+    if type(header.get("seed")) is not int:
+        raise ArchiveError(f"{path}: header 'seed' must be an integer, got {header.get('seed')!r}")
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _decode(path, header: dict, field: str, build):
+    """build(header[field]), with a failure reported as an ArchiveError naming the field."""
+    try:
+        return build(header[field])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}: header '{field}' is invalid ({exc!r})") from None
 
 
 def read_archive(path, check: bool = True) -> Archive:
     header = read_header(path)
     _check_header(path, header)
+    geometry = _decode(path, header, "geometry", _geometry_from_dict)
+    model = _decode(path, header, "model", lambda d: ModelSpec(**d))
+    sector = _decode(path, header, "sector", lambda d: Sector(d["n_electrons"], d["twice_ms"]))
     k, dim = header["shape"]
     payload_offset = int(header["payload_offset"])
     with open(path, "rb") as fh:
@@ -194,16 +222,14 @@ def read_archive(path, check: bool = True) -> Archive:
         values=values,
         vectors=vectors,
         residuals=np.array(header["residuals"], dtype=float),
-        labels=list(header["labels"]) if header.get("labels") else None,
+        labels=header["labels"] or None,
     )
-    model = ModelSpec(**header["model"])
-    sector = Sector(header["sector"]["n_electrons"], header["sector"]["twice_ms"])
     return Archive(
         eigenset=eig,
-        geometry=_geometry_from_dict(header["geometry"]),
+        geometry=geometry,
         model=model,
         sector=sector,
         tol=float(header["tol"]),
-        seed=int(header["seed"]),
+        seed=header["seed"],
         header=header,
     )

@@ -7,12 +7,17 @@ for k > 1 a probe then searches the deflated complement of the found
 vectors for a missed copy below the k-th value, swaps it in, and repeats
 until the complement holds nothing lower.  All start vectors come from a
 seeded generator, which makes solves reproducible.
+
+`lowest_in_label` solves a symmetry label inside its (C2, eh) subspace:
+it runs the same solver on Q^T H Q, with Q the sparse orthonormal orbit
+basis of the projector (about a quarter of the sector), and lifts the
+vectors back with Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,7 +41,6 @@ __all__ = [
     "SolverError",
     "NonConvergenceError",
     "DimensionCapError",
-    "SubspaceExhaustedError",
     "dense_spectrum",
     "dense_subspace_spectrum",
     "lanczos_lowest",
@@ -54,10 +58,6 @@ class SolverError(RuntimeError):
 
 class DimensionCapError(SolverError):
     """Sector too large for a dense solve; use lanczos_lowest instead."""
-
-
-class SubspaceExhaustedError(SolverError):
-    """The (projected, deflated) search space ran out of directions."""
 
 
 class NonConvergenceError(SolverError):
@@ -131,6 +131,12 @@ def _as_matrix(operator):
     return arr
 
 
+def _restrict(operator: SparseOperator, subspace: sp.csr_matrix) -> sp.csr_matrix:
+    """Q^T H Q, symmetrized, for an orthonormal sparse subspace basis Q."""
+    hs = subspace.T @ (operator.matrix @ subspace)
+    return (0.5 * (hs + hs.T)).tocsr()
+
+
 def dense_spectrum(operator, cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
     """All eigenpairs of a Hermitian operator, ascending."""
     if isinstance(operator, SparseOperator):
@@ -164,9 +170,7 @@ def dense_subspace_spectrum(operator: SparseOperator, subspace: sp.csr_matrix,
         return EigenSet(np.zeros(0), np.zeros((operator.dim, 0)), np.zeros(0))
     if m > cap:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {cap}")
-    hs = (subspace.T @ (operator.matrix @ subspace)).toarray()
-    hs = 0.5 * (hs + hs.T)
-    vals, y = sla.eigh(hs)
+    vals, y = sla.eigh(_restrict(operator, subspace).toarray())
     vecs = _canonical_sign(subspace @ y)
     res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
     return EigenSet(values=vals, vectors=vecs, residuals=res)
@@ -179,17 +183,11 @@ def lanczos_lowest(
     seed: int = 1,
     max_basis: int = 200,
     max_matvecs: int = 100000,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
-    allow_fewer: bool = False,
 ) -> EigenSet:
     """Lowest k eigenpairs by implicitly restarted Lanczos (ARPACK).
 
     At most `max_basis` Lanczos vectors are held at once, and the solve
     stops with NonConvergenceError after about `max_matvecs` products.
-    With `project` given, the solve runs on P H P + c (1 - P), with c above
-    the whole spectrum of H, so the complement of the (invariant) symmetry
-    subspace sits above every wanted eigenvalue; `allow_fewer` then permits
-    returning everything that subspace holds when it is smaller than k.
     Every returned vector has its residual ||H x - lambda x|| checked
     against `tol`.
     """
@@ -212,17 +210,7 @@ def lanczos_lowest(
         nonlocal matvecs
         matvecs += 1
         x = np.ravel(x)
-        if project is None:
-            return mat @ x + c * x
-        px = project(x)
-        return project(mat @ px) + c * px + 2.0 * c * (x - px)
-
-    def rayleigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unit columns, their Rayleigh quotients and true residuals."""
-        x = x / np.linalg.norm(x, axis=0)
-        hx = mat @ x
-        vals = np.einsum("ij,ij->j", x, hx)
-        return x, vals, np.linalg.norm(hx - x * vals, axis=0)
+        return mat @ x + c * x
 
     def lowest(apply: Callable[[np.ndarray], np.ndarray], need: int) -> tuple[np.ndarray, np.ndarray]:
         if need >= dim - 1:  # too small for ARPACK: diagonalize the same map densely
@@ -241,7 +229,7 @@ def lanczos_lowest(
             return vals - c, vecs
         except spla.ArpackNoConvergence as err:
             # best of the start vector and any Ritz vectors ARPACK converged
-            res = rayleigh(np.column_stack([v0, err.eigenvectors]))[2]
+            res = _rayleigh(mat, np.column_stack([v0, err.eigenvectors]))[2]
             raise NonConvergenceError(
                 f"ARPACK failed to converge {need} eigenpairs within {matvecs} products",
                 float(res.min()),
@@ -266,15 +254,21 @@ def lanczos_lowest(
         x = x[:, 0] - vecs @ (vecs.T @ x[:, 0])
         vals[evict], vecs[:, evict] = theta[0], x / np.linalg.norm(x)
 
-    keep = vals < c - 0.5  # values near c belong to the projected-out complement
-    if keep.sum() < k and not (allow_fewer and keep.any()):
-        raise SubspaceExhaustedError(
-            f"search subspace holds only {int(keep.sum())} of the {k} requested states"
-        )
-    vecs = vecs[:, keep]
-    if project is not None:
-        vecs = np.column_stack([project(v) for v in vecs.T])
-    vecs, vals, res = rayleigh(_canonical_sign(vecs))
+    return _checked_eigenset(mat, _canonical_sign(vecs), tol)
+
+
+def _rayleigh(mat, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit columns, their Rayleigh quotients and true residuals on `mat`."""
+    x = x / np.linalg.norm(x, axis=0)
+    hx = mat @ x
+    vals = np.einsum("ij,ij->j", x, hx)
+    return x, vals, np.linalg.norm(hx - x * vals, axis=0)
+
+
+def _checked_eigenset(mat, vecs: np.ndarray, tol: float) -> EigenSet:
+    """Eigenpairs from approximate eigenvectors, each with its true residual
+    on `mat` checked against `tol`."""
+    vecs, vals, res = _rayleigh(mat, vecs)
     if res.max() > tol:
         raise NonConvergenceError(
             f"{int(np.sum(res > tol))} of {len(vals)} eigenpairs miss the residual tolerance {tol:.1e}",
@@ -283,18 +277,25 @@ def lanczos_lowest(
     return EigenSet(values=vals, vectors=vecs, residuals=res)
 
 
+def _degenerate_ranges(values: np.ndarray, rel_tol: float) -> Iterator[tuple[int, int]]:
+    """Index ranges [i, j) of the greedy grouping of consecutive values that
+    lie within rel_tol * max(1, |values[i]|) of each group's first value."""
+    i = 0
+    while i < len(values):
+        ref = values[i]
+        j = i + 1
+        while j < len(values) and abs(values[j] - ref) <= rel_tol * max(1.0, abs(ref)):
+            j += 1
+        yield i, j
+        i = j
+
+
 def group_degenerate(eigenset: EigenSet, rel_tol: float = 1e-9) -> list[DegenerateManifold]:
     """Greedy grouping of consecutive eigenvalues into degenerate manifolds."""
-    manifolds: list[DegenerateManifold] = []
-    i = 0
-    while i < eigenset.k:
-        ref = eigenset.values[i]
-        j = i + 1
-        while j < eigenset.k and abs(eigenset.values[j] - ref) <= rel_tol * max(1.0, abs(ref)):
-            j += 1
-        manifolds.append(DegenerateManifold(float(ref), eigenset.vectors[:, i:j].copy()))
-        i = j
-    return manifolds
+    return [
+        DegenerateManifold(float(eigenset.values[i]), eigenset.vectors[:, i:j].copy())
+        for i, j in _degenerate_ranges(eigenset.values, rel_tol)
+    ]
 
 
 def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -> EigenSet:
@@ -305,12 +306,7 @@ def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -
     """
     m = basis.sector.twice_ms / 2.0
     vectors = eigenset.vectors.copy()
-    i = 0
-    while i < eigenset.k:
-        ref = eigenset.values[i]
-        j = i + 1
-        while j < eigenset.k and abs(eigenset.values[j] - ref) <= rel_tol * max(1.0, abs(ref)):
-            j += 1
+    for i, j in _degenerate_ranges(eigenset.values, rel_tol):
         if j - i > 1:
             block = vectors[:, i:j]
             images = [apply_splus(block[:, c], basis)[0] for c in range(j - i)]
@@ -318,7 +314,6 @@ def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -
             s2 = m * (m + 1.0) * np.eye(j - i) + imat
             _, rot = sla.eigh(s2)
             vectors[:, i:j] = block @ rot
-        i = j
     out = EigenSet(
         values=eigenset.values.copy(),
         vectors=_canonical_sign(vectors),
@@ -338,10 +333,11 @@ def lowest_in_label(
 ) -> EigenSet:
     """Lowest k eigenstates carrying a (C2, eh, S) label.
 
-    The Lanczos solve runs inside the requested (C2, eh) subspace; the
-    sector must be the label's highest-weight sector (2M_S = 2S).  Total
-    spin is verified on every candidate and only matching states are
-    returned.
+    The Lanczos solve runs on Q^T H Q, with Q the orthonormal orbit basis
+    of the requested (C2, eh) subspace, and the vectors are lifted back to
+    sector coordinates; the sector must be the label's highest-weight
+    sector (2M_S = 2S).  Residuals are checked on the full H, total spin is
+    verified on every candidate and only matching states are returned.
     """
     basis = operator.basis
     want_tm = label.twice_ms_highest
@@ -351,25 +347,19 @@ def lowest_in_label(
             f"but the operator was built for 2M_S = {basis.sector.twice_ms}"
         )
     proj = projector(basis, operator.geometry, label.c2_parity, label.eh_parity)
-    rng = np.random.default_rng(seed)
-    probe = max(float(np.linalg.norm(proj.apply(rng.standard_normal(operator.dim)))) for _ in range(3))
-    if probe < 1e-10:
+    q = proj.orbit_basis()
+    m = q.shape[1]
+    if m == 0:
         raise SolverError(
             f"the {format_label(label)} symmetry subspace of sector {basis.sector} is empty"
         )
+    hs = _restrict(operator, q)
 
     solve_k = k + 3
-    cap = min(operator.dim, k + 40)
+    cap = min(m, k + 40)
     while True:
-        eig = lanczos_lowest(
-            operator,
-            k=min(solve_k, operator.dim),
-            tol=tol,
-            seed=seed,
-            max_basis=max_basis,
-            project=proj.apply,
-            allow_fewer=True,
-        )
+        sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed, max_basis=max_basis)
+        eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
         eig = sharpen_spin(eig, basis)
         sel: list[int] = []
         for i in range(eig.k):
@@ -381,14 +371,13 @@ def lowest_in_label(
                 sel.append(i)
             if len(sel) == k:
                 break
-        subspace_exhausted = eig.k < min(solve_k, operator.dim)
-        if len(sel) >= k or solve_k >= cap or subspace_exhausted:
+        if len(sel) >= k or solve_k >= cap:
             break
         solve_k = min(cap, solve_k * 2)
     if len(sel) < k:
         raise SolverError(
             f"found only {len(sel)} of {k} states with label {format_label(label)} "
-            f"among the lowest {solve_k} of the projected subspace"
+            f"among the lowest {min(solve_k, m)} of the symmetry subspace"
         )
     vecs = eig.vectors[:, sel]
     for i in range(vecs.shape[1]):

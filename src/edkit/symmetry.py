@@ -290,51 +290,29 @@ class Projector:
         """Sparse orthonormal basis of the projector's range.
 
         Projected basis vectors supported on disjoint group orbits are
-        orthogonal, so normalizing one surviving projected vector per orbit
-        gives an orthonormal basis with at most four entries per column.
+        orthogonal, so normalizing the projection of each orbit's smallest
+        index gives an orthonormal basis with at most four entries per
+        column, ordered by that index.
         """
-        ops: list[tuple[SignedPermutation, int]] = []
-        if self.c2 is not None:
-            ops.append((self.c2, self.c2_parity))
-        if self.eh is not None:
-            ops.append((self.eh, self.eh_parity))
-
         # group element g: e_i -> s_g[i] e_{p_g[i]}, with the parity character
         # folded into the sign
-        group: list[tuple[np.ndarray, np.ndarray]] = [
-            (np.arange(self.dim), np.ones(self.dim, dtype=np.float64))
-        ]
-        for op, parity in ops:
-            group = [
-                item
-                for p, s in group
-                for item in ((p, s), (op.perm[p], s * parity * op.sign[p]))
-            ]
-        visited = np.zeros(self.dim, dtype=bool)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        ncol = 0
-        scale = 1.0 / len(group)
-        for i in range(self.dim):
-            if visited[i]:
-                continue
-            comps: dict[int, float] = {}
-            for p, s in group:
-                j = int(p[i])
-                comps[j] = comps.get(j, 0.0) + scale * float(s[i])
-            for j in comps:
-                visited[j] = True
-            norm2 = sum(c * c for c in comps.values())
-            if norm2 <= tol:
-                continue
-            norm = sqrt(norm2)
-            for j, c in sorted(comps.items()):
-                rows.append(j)
-                cols.append(ncol)
-                vals.append(c / norm)
-            ncol += 1
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, ncol))
+        group = [(np.arange(self.dim), np.ones(self.dim))]
+        for op, parity in ((self.c2, self.c2_parity), (self.eh, self.eh_parity)):
+            if op is not None:
+                group += [(op.perm[p], s * parity * op.sign[p]) for p, s in group]
+        perms = np.array([p for p, _ in group])
+        signs = np.array([s for _, s in group])
+        reps = np.flatnonzero(perms.min(axis=0) == np.arange(self.dim))
+        cols = np.broadcast_to(np.arange(len(reps)), (len(group), len(reps)))
+        q = sp.csc_matrix(
+            (signs[:, reps].ravel() / len(group), (perms[:, reps].ravel(), cols.ravel())),
+            shape=(self.dim, len(reps)),
+        )  # sums the duplicates of stabilized orbit members
+        norm2 = np.asarray(q.multiply(q).sum(axis=0)).ravel()
+        keep = norm2 > tol
+        q = q[:, keep]
+        q.data /= np.repeat(np.sqrt(norm2[keep]), np.diff(q.indptr))
+        return q.tocsr()
 
 
 def projector(

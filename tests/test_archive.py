@@ -95,6 +95,14 @@ def test_not_an_archive(tmp_path):
         (lambda h: h.update(payload_bytes="888"), "payload_bytes"),
         (lambda h: h.update(payload_bytes=8), "payload_bytes"),
         (lambda h: h.pop("checksum_blake2b64"), "checksum_blake2b64"),
+        (lambda h: h.pop("tol"), "tol"),
+        (lambda h: h.pop("model"), "model"),
+        (lambda h: h.update(sector=None), "sector"),
+        (lambda h: h.update(residuals=h["residuals"][:-1]), "residuals"),
+        (lambda h: h["model"].update(colour="red"), "model"),
+        (lambda h: h.update(seed="x"), "seed"),
+        (lambda h: h.update(labels=["1_Ag+"]), "labels"),
+        (lambda h: h["geometry"].pop("coords"), "geometry"),
     ],
 )
 def test_verify_rejects_malformed_header(solved, capsys, edit, field):

@@ -124,7 +124,7 @@ def test_icosahedron_heisenberg_degenerate_manifolds():
 
 def test_lowest_in_label_four_site_dense_oracle():
     # scan the dense spectrum for the first manifold containing a B_u-
-    # singlet component and compare with the projected Lanczos result
+    # singlet component and compare with the orbit-basis Lanczos result
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="huckel", t=-1.0), Sector(4, 0))
     label = parse_label("1_Bu-")
@@ -182,16 +182,24 @@ def test_lowest_in_label_tiny_subspace():
     assert np.allclose(eig.values, [(4 - root) / 2, (4 + root) / 2], atol=1e-10)
 
 
-def test_lanczos_allow_fewer_in_projected_subspace():
-    from edkit.solver import SubspaceExhaustedError
+def test_lowest_in_label_projects_only_returned_vectors(monkeypatch):
+    # the solve runs in the orbit basis; the projector is applied only by
+    # the drift check on each returned vector
+    from edkit.symmetry import Projector
 
-    g = build_chain(2)
-    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0))
-    proj = projector(h.basis, g, 1, 1)
-    eig = lanczos_lowest(h, k=4, tol=1e-10, project=proj.apply, allow_fewer=True)
-    assert eig.k == 2  # the subspace only holds two states
-    with pytest.raises(SubspaceExhaustedError):
-        lanczos_lowest(h, k=4, tol=1e-10, project=proj.apply)
+    calls = []
+    apply = Projector.apply
+
+    def counting(self, v):
+        calls.append(1)
+        return apply(self, v)
+
+    monkeypatch.setattr(Projector, "apply", counting)
+    g = build_chain(10)
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(10, 0))
+    eig = lowest_in_label(h, parse_label("1_Ag+"), k=1, tol=1e-10)
+    assert eig.labels == ["1_Ag+"] and eig.residuals[0] <= 1e-10
+    assert len(calls) <= eig.k
 
 
 def test_dense_subspace_spectrum_matches_projected_scan():
@@ -239,16 +247,19 @@ def test_lanczos_projected_k4_eight_site_subspace():
     g = build_chain(8)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
     proj = projector(h.basis, g, 1, 1)  # the 1_Ag+ (C2, eh) subspace
-    a = lanczos_lowest(h, k=4, tol=1e-10, seed=3, project=proj.apply)
-    b = lanczos_lowest(h, k=4, tol=1e-10, seed=3, project=proj.apply)
+    q = proj.orbit_basis()
+    hs = q.T @ h.matrix @ q
+    a = lanczos_lowest(hs, k=4, tol=1e-10, seed=3)
+    b = lanczos_lowest(hs, k=4, tol=1e-10, seed=3)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
-    res = np.linalg.norm(h.matrix @ a.vectors - a.vectors * a.values[None, :], axis=0)
+    lifted = q @ a.vectors
+    res = np.linalg.norm(h.matrix @ lifted - lifted * a.values[None, :], axis=0)
     assert np.all(res <= 1e-10)
     for i in range(a.k):
-        v = a.vectors[:, i]
+        v = lifted[:, i]
         assert np.linalg.norm(proj.apply(v) - v) <= 1e-8
-    sub = dense_subspace_spectrum(h, proj.orbit_basis())
+    sub = dense_subspace_spectrum(h, q)
     assert np.abs(a.values - sub.values[:4]).max() < 1e-9
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import brute_permute_sites
 from edkit.basis import FermionState, Sector, enumerate_sector
@@ -188,15 +189,59 @@ def test_projector_commutes_with_models(rng):
         assert np.linalg.norm(drift) <= 1e-10 * np.linalg.norm(x)
 
 
+def _orbit_basis_loop(proj, tol=1e-12):
+    """Per-state reference: visit states in ascending order and normalize
+    the projection of each one not yet seen in an earlier orbit."""
+    group = [(np.arange(proj.dim), np.ones(proj.dim))]
+    for op, parity in ((proj.c2, proj.c2_parity), (proj.eh, proj.eh_parity)):
+        if op is not None:
+            group += [(op.perm[p], s * parity * op.sign[p]) for p, s in group]
+    visited = np.zeros(proj.dim, dtype=bool)
+    columns = []
+    for i in range(proj.dim):
+        if visited[i]:
+            continue
+        comps = {}
+        for p, s in group:
+            j = int(p[i])
+            comps[j] = comps.get(j, 0.0) + float(s[i]) / len(group)
+        visited[list(comps)] = True
+        norm2 = sum(c * c for c in comps.values())
+        if norm2 > tol:
+            columns.append({j: c / np.sqrt(norm2) for j, c in comps.items()})
+    rows = [j for col in columns for j in col]
+    cols = [n for n, col in enumerate(columns) for _ in col]
+    vals = [c for col in columns for c in col.values()]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(proj.dim, len(columns)))
+
+
 def test_orbit_basis_reconstructs_projector(rng):
-    g = build_chain(4)
-    b = enumerate_sector(g, "hubbard", Sector(4, 0))
-    proj = projector(b, g, 1, -1)
-    q = proj.orbit_basis()
-    qtq = (q.T @ q).toarray()
-    assert np.abs(qtq - np.eye(q.shape[1])).max() < 1e-12
-    pm = np.column_stack([proj.apply(e) for e in np.eye(b.dim)])
-    assert np.abs((q @ q.T).toarray() - pm).max() < 1e-12
+    chain4, chain6, ico = build_chain(4), build_chain(6), build_icosahedron()
+    cases = [
+        # half-filled fermion sector with both C2 and eh
+        (chain4, "hubbard", Sector(4, 0), 1, -1),
+        (chain6, "hubbard", Sector(6, 0), 1, 1),
+        # polarized 2M_S = 2 sector
+        (chain6, "hubbard", Sector(6, 2), -1, 1),
+        # spin sector, C2 only
+        (ico, "heisenberg", Sector(None, 0), 1, None),
+    ]
+    for g, kind, sector, c2, eh in cases:
+        b = enumerate_sector(g, kind, sector)
+        proj = projector(b, g, c2, eh)
+        q = proj.orbit_basis()
+        assert 0 < q.shape[1] < b.dim
+        qtq = (q.T @ q).toarray()
+        assert np.abs(qtq - np.eye(q.shape[1])).max() < 1e-12
+        pm = np.column_stack([proj.apply(e) for e in np.eye(b.dim)])
+        assert np.abs((q @ q.T).toarray() - pm).max() < 1e-12
+        # columns are ordered by their smallest row index
+        first_rows = q.tocsc().indices[q.tocsc().indptr[:-1]]
+        assert np.all(np.diff(first_rows) > 0)
+        # the vectorized construction equals the per-state loop exactly
+        ref = _orbit_basis_loop(proj)
+        assert ref.shape == q.shape and (ref != q).nnz == 0
+        assert np.array_equal(ref.indptr, q.indptr) and np.array_equal(ref.indices, q.indices)
 
 
 def test_total_spin_polarized_and_singlet():
