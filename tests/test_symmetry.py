@@ -236,7 +236,8 @@ def test_orbit_basis_reconstructs_projector(rng):
         pm = np.column_stack([proj.apply(e) for e in np.eye(b.dim)])
         assert np.abs((q @ q.T).toarray() - pm).max() < 1e-12
         # columns are ordered by their smallest row index
-        first_rows = q.tocsc().indices[q.tocsc().indptr[:-1]]
+        qc = q.tocsc()
+        first_rows = qc.indices[qc.indptr[:-1]]
         assert np.all(np.diff(first_rows) > 0)
         # the vectorized construction equals the per-state loop exactly
         ref = _orbit_basis_loop(proj)
