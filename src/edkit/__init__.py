@@ -22,7 +22,7 @@ from .basis import (
     multiplet_counts,
     sector_dimension,
 )
-from .hamiltonian import ModelSpec, SparseOperator, apply, build_model, ohno_potential
+from .hamiltonian import ModelSpec, SparseOperator, build_model, ohno_potential
 from .symmetry import (
     SymmetryLabel,
     apply_c2,
@@ -48,7 +48,6 @@ from .entanglement import (
     entropy_both_sides,
     free_fermion_oracle,
     schmidt_spectrum,
-    sector_table,
 )
 from .analysis import (
     Profile,

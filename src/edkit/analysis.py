@@ -21,13 +21,13 @@ from .entanglement import schmidt_spectrum
 from .hamiltonian import ModelSpec, build_model
 from .lattice import Bipartition, Geometry, build_chain, half_cut
 from .solver import (
+    DENSE_CAP_DEFAULT,
     EigenSet,
     dense_subspace_spectrum,
     lanczos_lowest,
     lowest_in_label,
-    sharpen_spin,
 )
-from .symmetry import MixedSpinError, SymmetryLabel, parse_label, projector, total_spin
+from .symmetry import SymmetryLabel, parse_label
 
 __all__ = [
     "Profile",
@@ -43,27 +43,8 @@ __all__ = [
     "ground_state_entropy",
     "labeled_state",
     "subspace_spectrum",
-    "standard_sweep_models",
     "DEFAULT_EXCITED_TARGETS",
-    "HUBBARD_SWEEP_RATIOS",
 ]
-
-# Ground-state sweep family: Hubbard interaction strengths in units of |t|
-HUBBARD_SWEEP_RATIOS = (0, 2, 4, 6, 8, 12, 40)
-
-
-def standard_sweep_models() -> dict[str, ModelSpec]:
-    """The full comparison family for ground-state sweeps: Hubbard chains
-    over the standard interaction ratios, the PPP chain with its standard
-    parameters, and both Heisenberg chains."""
-    models = {
-        f"hubbard_u{r}": ModelSpec(kind="hubbard", t=-1.0, U=float(r))
-        for r in HUBBARD_SWEEP_RATIOS
-    }
-    models["ppp"] = ModelSpec(kind="ppp", t=-2.4, U=11.26)
-    models["heisenberg_half"] = ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5)
-    models["heisenberg_one"] = ModelSpec(kind="heisenberg", J=1.0, site_spin=1.0)
-    return models
 
 # Default excited-state series: (series name, solved label, ordinal k);
 # "2_Ag+" denotes the second state of the 1_Ag+ subspace
@@ -86,7 +67,6 @@ class Profile:
     x: np.ndarray
     y: np.ndarray
     metadata: dict = field(default_factory=dict)
-    stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -226,11 +206,12 @@ def entropy_profile(
     raise AnalysisError(f"unknown smoothing mode {smoothing!r}")
 
 
-def _default_sector(geometry: Geometry, spec: ModelSpec) -> Sector:
-    """The half-filled sector, or the lowest-|M_S| sector of a spin model."""
-    if spec.kind == "heisenberg":
-        return Sector(None, (geometry.n_sites * round(2 * spec.site_spin)) % 2)
-    return Sector(geometry.n_sites, geometry.n_sites % 2)
+def _default_sector(geometry: Geometry, spec: ModelSpec, twice_ms: int | None = None) -> Sector:
+    """The half-filled sector, or the spin model's sector, at 2M_S = twice_ms;
+    by default at the lowest |M_S|."""
+    if twice_ms is None:  # lowest |M_S|: 2M_S has the parity of n_sites * 2s
+        twice_ms = geometry.n_sites * (1 if spec.fermionic else round(2 * spec.site_spin)) % 2
+    return Sector(geometry.n_sites if spec.fermionic else None, twice_ms)
 
 
 def ground_state_entropy(
@@ -315,8 +296,7 @@ def labeled_state(
     """Solve the k lowest states of a symmetry label in its natural sector."""
     if isinstance(label, str):
         label = parse_label(label)
-    sector = Sector(geometry.n_sites, label.twice_ms_highest)
-    h = build_model(geometry, spec, sector)
+    h = build_model(geometry, spec, _default_sector(geometry, spec, label.twice_ms_highest))
     eig = lowest_in_label(h, label, k=k, tol=tol, seed=seed)
     return eig, h.basis
 
@@ -359,45 +339,13 @@ def subspace_spectrum(
     c2_parity: int,
     eh_parity: int | None,
     spin: float | None = None,
-    cap: int = 20000,
+    cap: int = DENSE_CAP_DEFAULT,
 ) -> tuple[EigenSet, BasisTable]:
-    """Dense full spectrum of one symmetry-adapted subspace.
-
-    Builds the sparse orthonormal orbit basis of the (C2, eh) projector,
-    diagonalizes the restricted Hamiltonian, rotates degenerate manifolds
-    to sharp S^2, and optionally keeps only states of one total spin.
-    """
-    if spec.kind == "heisenberg":
-        sector = Sector(None, twice_ms)
-    else:
-        sector = Sector(geometry.n_sites, twice_ms)
-    h = build_model(geometry, spec, sector)
-    proj = projector(h.basis, geometry, c2_parity, eh_parity)
-    q = proj.orbit_basis()
-    if q.shape[1] == 0:
-        raise AnalysisError("the requested symmetry subspace is empty")
-    eig = dense_subspace_spectrum(h, q, cap=cap)
-    eig = sharpen_spin(eig, h.basis)
-    if spin is None:
-        return eig, h.basis
-    keep = []
-    for i in range(eig.k):
-        try:
-            s = total_spin(eig.vectors[:, i], h.basis)
-        except MixedSpinError:
-            continue
-        if abs(s - spin) < 0.25:
-            keep.append(i)
-    if not keep:
-        raise AnalysisError(f"no states of total spin {spin} in the requested subspace")
-    return (
-        EigenSet(
-            values=eig.values[keep],
-            vectors=eig.vectors[:, keep],
-            residuals=eig.residuals[keep],
-        ),
-        h.basis,
-    )
+    """Dense full spectrum of one symmetry-adapted subspace of the
+    half-filled (or spin-model) sector at 2M_S = twice_ms; see
+    `dense_subspace_spectrum`."""
+    h = build_model(geometry, spec, _default_sector(geometry, spec, twice_ms))
+    return dense_subspace_spectrum(h, c2_parity, eh_parity, spin=spin, cap=cap), h.basis
 
 
 def spearman_rank(x: Sequence[float], y: Sequence[float]) -> float:

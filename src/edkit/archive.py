@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import Sector
+from .basis import Sector, SectorError, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry
 from .solver import EigenSet
@@ -194,13 +194,22 @@ def _decode(path, header: dict, field: str, build):
         raise ArchiveError(f"{path}: header '{field}' is invalid ({exc!r})") from None
 
 
-def read_archive(path, check: bool = True) -> Archive:
+def read_archive(path) -> Archive:
     header = read_header(path)
     _check_header(path, header)
     geometry = _decode(path, header, "geometry", _geometry_from_dict)
     model = _decode(path, header, "model", lambda d: ModelSpec(**d))
     sector = _decode(path, header, "sector", lambda d: Sector(d["n_electrons"], d["twice_ms"]))
     k, dim = header["shape"]
+    try:
+        sector_dim = sector_dimension(geometry.n_sites, model.kind, sector, model.site_spin)
+    except SectorError as exc:
+        raise ArchiveError(f"{path}: header 'sector' does not fit the model ({exc})") from None
+    if sector_dim != dim:
+        raise ArchiveError(
+            f"{path}: header 'sector' {sector} has dimension {sector_dim}, "
+            f"but 'shape' declares {dim}"
+        )
     payload_offset = int(header["payload_offset"])
     with open(path, "rb") as fh:
         fh.seek(payload_offset)
@@ -211,7 +220,7 @@ def read_archive(path, check: bool = True) -> Archive:
             f"{path}: payload length mismatch at byte {payload_offset}: "
             f"expected {expected} bytes, found {len(payload)}"
         )
-    if check and _checksum(payload) != header["checksum_blake2b64"]:
+    if _checksum(payload) != header["checksum_blake2b64"]:
         raise ArchiveChecksumError(
             f"{path}: payload checksum mismatch over bytes "
             f"{payload_offset}..{payload_offset + expected - 1}"

@@ -271,6 +271,8 @@ def sector_dimension(
         if sector.n_electrons is None:
             raise SectorError(f"model {model_kind!r} needs an electron count in the sector")
         return comb(n_sites, sector.n_up) * comb(n_sites, sector.n_dn)
+    if sector.n_electrons is not None:
+        raise SectorError("spin models take Sector(n_electrons=None, ...)")
     twice = _twice_site_spin(model_kind, site_spin)
     target = (sector.twice_ms + n_sites * twice) // 2
     if (sector.twice_ms + n_sites * twice) % 2 != 0:
@@ -345,11 +347,6 @@ class BipartiteIndex:
     bipartition: Bipartition
     basis_dim: int
     blocks: tuple[BipartiteBlock, ...]
-
-    def left_sector_dims(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {
-            (b.twice_ms_left, b.n_left): (b.left_dim, b.right_dim) for b in self.blocks
-        }
 
 
 def _gather_info(masks: np.ndarray, n_sites: int, left: Sequence[int], right: Sequence[int]):

@@ -26,14 +26,13 @@ from .analysis import (
     dos_histogram,
     entropy_profile,
     entropy_vs_logdos,
-    subspace_spectrum,
     sweep_block_size,
     sweep_ground_state,
 )
 from .archive import Archive, ArchiveChecksumError, ArchiveError, read_archive, write_archive
 from .basis import enumerate_sector, multiplet_counts
 from .config import ConfigError, RunConfig, load_config
-from .entanglement import decade_histogram, schmidt_spectrum
+from .entanglement import RDMSpectrum, decade_histogram, schmidt_spectrum
 from .hamiltonian import build_model
 from .lattice import (
     GeometryError,
@@ -46,6 +45,7 @@ from .solver import (
     NonConvergenceError,
     SolverError,
     dense_spectrum,
+    dense_subspace_spectrum,
     lanczos_lowest,
     lowest_in_label,
 )
@@ -137,24 +137,19 @@ def _task_solve(ctx: RunContext) -> dict:
     return {"eigenvalues": [float(v) for v in eig.values], "labels": eig.labels}
 
 
-def _load_state(ctx: RunContext) -> tuple[Archive, int, np.ndarray]:
+def _archive_state(ctx: RunContext, left: int) -> tuple[int, str | None, RDMSpectrum]:
+    """The [entangle] state of the input archive: its number, its stored
+    label and its Schmidt spectrum across the cut after `left` sites."""
     arch = read_archive(ctx.cfg.archive_path())
+    eig = arch.eigenset
     state = ctx.cfg._get_int("entangle", "state", default=1)
-    if not 1 <= state <= arch.eigenset.k:
-        raise ConfigError(f"[entangle] state must be in 1..{arch.eigenset.k}, got {state}")
-    return arch, state, arch.eigenset.vectors[:, state - 1]
-
-
-def _state_label(arch: Archive, state: int) -> str | None:
-    if arch.eigenset.labels:
-        return arch.eigenset.labels[state - 1]
-    return None
-
-
-def _basis_of(archive: Archive):
-    return enumerate_sector(
-        archive.geometry, archive.model.kind, archive.sector, site_spin=archive.model.site_spin
+    if not 1 <= state <= eig.k:
+        raise ConfigError(f"[entangle] state must be in 1..{eig.k}, got {state}")
+    basis = enumerate_sector(
+        arch.geometry, arch.model.kind, arch.sector, site_spin=arch.model.site_spin
     )
+    spectrum = schmidt_spectrum(eig.vectors[:, state - 1], basis, half_cut(arch.geometry, left))
+    return state, eig.labels[state - 1] if eig.labels else None, spectrum
 
 
 def _spectrum_rows(spectrum):
@@ -172,63 +167,52 @@ def _task_entangle(ctx: RunContext) -> dict:
     cfg = ctx.cfg
     left = cfg._get_int("entangle", "left_size", required=True)
     if cfg.sections.get("input", {}).get("archive"):
-        arch, state, v = _load_state(ctx)
-        geometry, basis = arch.geometry, _basis_of(arch)
+        state, _, spectrum = _archive_state(ctx, left)
     else:
         geometry, model, sector, target, h, eig = _solve_eigenset(cfg)
-        basis = h.basis
         state = target["k"]
-        v = eig.vectors[:, state - 1]
-    cut = half_cut(geometry, left)
-    spectrum = schmidt_spectrum(v, basis, cut)
+        spectrum = schmidt_spectrum(eig.vectors[:, state - 1], h.basis, half_cut(geometry, left))
     ctx.write_csv(
         f"state{state}_spectrum.csv",
         ["two_ms_left", "n_left", "w"],
         _spectrum_rows(spectrum),
-        metadata={"left_size": left, "total_entropy_bits": spectrum.total_entropy},
+        metadata=_csv_meta(left, spectrum),
     )
-    rows = spectrum.sector_entropies()
-    ctx.write_csv(
-        f"state{state}_sectors.csv",
-        ["two_ms_left", "n_left", "partial_entropy"],
-        _sector_rows(rows),
-        metadata={"left_size": left, "total_entropy_bits": spectrum.total_entropy},
-    )
-    return {"total_entropy_bits": spectrum.total_entropy}
-
-
-def _task_sector_table(ctx: RunContext) -> dict:
-    arch, state, v = _load_state(ctx)
-    left = ctx.cfg._get_int("entangle", "left_size", required=True)
-    basis = _basis_of(arch)
-    cut = half_cut(arch.geometry, left)
-    spectrum = schmidt_spectrum(v, basis, cut)
-    meta = {"left_size": left, "total_entropy_bits": spectrum.total_entropy}
-    if _state_label(arch, state):
-        meta["label"] = _state_label(arch, state)
     ctx.write_csv(
         f"state{state}_sectors.csv",
         ["two_ms_left", "n_left", "partial_entropy"],
         _sector_rows(spectrum.sector_entropies()),
-        metadata=meta,
+        metadata=_csv_meta(left, spectrum),
+    )
+    return {"total_entropy_bits": spectrum.total_entropy}
+
+
+def _csv_meta(left: int, spectrum: RDMSpectrum, label: str | None = None) -> dict:
+    meta = {"left_size": left, "total_entropy_bits": spectrum.total_entropy}
+    return meta | {"label": label} if label else meta
+
+
+def _task_sector_table(ctx: RunContext) -> dict:
+    left = ctx.cfg._get_int("entangle", "left_size", required=True)
+    state, label, spectrum = _archive_state(ctx, left)
+    ctx.write_csv(
+        f"state{state}_sectors.csv",
+        ["two_ms_left", "n_left", "partial_entropy"],
+        _sector_rows(spectrum.sector_entropies()),
+        metadata=_csv_meta(left, spectrum, label),
     )
     return {"total_entropy_bits": spectrum.total_entropy}
 
 
 def _task_histogram(ctx: RunContext) -> dict:
-    arch, state, v = _load_state(ctx)
     left = ctx.cfg._get_int("entangle", "left_size", required=True)
-    basis = _basis_of(arch)
-    spectrum = schmidt_spectrum(v, basis, half_cut(arch.geometry, left))
+    state, label, spectrum = _archive_state(ctx, left)
     counts = decade_histogram(spectrum)
-    meta = {"left_size": left, "total_entropy_bits": spectrum.total_entropy}
-    if _state_label(arch, state):
-        meta["label"] = _state_label(arch, state)
     ctx.write_csv(
         f"state{state}_decades.csv",
         ["decade", "count"],
         [(int(p), int(c)) for p, c in enumerate(counts)],
-        metadata=meta,
+        metadata=_csv_meta(left, spectrum, label),
     )
     return {"decades": [int(c) for c in counts]}
 
@@ -236,20 +220,13 @@ def _task_histogram(ctx: RunContext) -> dict:
 def _dense_states(cfg: RunConfig):
     geometry = cfg.geometry()
     model = cfg.model()
-    sector = cfg.sector(model)
-    sub = cfg.sections.get("subspace", {})
-    if sub:
-        c2 = int(sub.get("c2", "1"))
-        eh = int(sub["eh"]) if "eh" in sub else None
-        spin = float(sub["spin"]) if "spin" in sub else None
-        eig, basis = subspace_spectrum(
-            geometry, model, sector.twice_ms, c2, eh, spin=spin
-        )
-    else:
-        h = build_model(geometry, model, sector)
+    h = build_model(geometry, model, cfg.sector(model))
+    sub = cfg.subspace()
+    if sub is None:
         eig = dense_spectrum(h)
-        basis = h.basis
-    return geometry, model, eig, basis
+    else:
+        eig = dense_subspace_spectrum(h, sub["c2"], sub["eh"], spin=sub["spin"])
+    return geometry, model, eig, h.basis
 
 
 def _task_profile(ctx: RunContext) -> dict:

@@ -132,6 +132,16 @@ class RunConfig:
             "seed": self._get_int("target", "seed", default=1),
         }
 
+    def subspace(self) -> dict | None:
+        """The symmetry block of a dense task, or None without a [subspace] section."""
+        if not self.sections.get("subspace"):
+            return None
+        return {
+            "c2": self._get_int("subspace", "c2", default=1),
+            "eh": self._get_int("subspace", "eh"),
+            "spin": self._get_float("subspace", "spin"),
+        }
+
     def archive_path(self) -> Path:
         raw = self._get("input", "archive", required=True)
         p = Path(raw)
@@ -203,6 +213,15 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"{sector.n_electrons} electrons do not fit on {geometry.n_sites} sites"
             )
+    sub = cfg.subspace() if task in ("profile", "dos") else None
+    if sub is not None:
+        if sub["c2"] not in (1, -1) or sub["eh"] not in (1, -1, None):
+            raise ConfigError(
+                f"[subspace] c2 and eh must be 1 or -1, got c2 = {sub['c2']}, eh = {sub['eh']}"
+            )
+        spin = sub["spin"]
+        if spin is not None and not (spin >= 0 and (2 * spin).is_integer()):
+            raise ConfigError(f"[subspace] spin must be a non-negative half-integer, got {spin}")
     if task in ("sector-table", "histogram") or entangle_from_archive:
         cfg.archive_path()
     if task in ("sector-table", "histogram", "entangle", "profile", "dos"):

@@ -29,7 +29,6 @@ __all__ = [
     "entropy_bits",
     "schmidt_spectrum",
     "entropy_both_sides",
-    "sector_table",
     "decade_histogram",
     "degenerate_average",
     "free_fermion_oracle",
@@ -166,15 +165,6 @@ def entropy_both_sides(
     swapped = Bipartition(bipartition.right, bipartition.left)
     s_right = schmidt_spectrum(vector, basis, swapped).total_entropy
     return s_left, s_right
-
-
-def sector_table(
-    vector: np.ndarray,
-    basis: BasisTable,
-    cut: Bipartition | BipartiteIndex,
-) -> list[tuple[tuple[int, int], float]]:
-    """Partial entropies per left (2M_S, n) sector, descending."""
-    return schmidt_spectrum(vector, basis, cut).sector_entropies()
 
 
 def decade_histogram(spectrum: RDMSpectrum | np.ndarray, n_decades: int = 16) -> np.ndarray:

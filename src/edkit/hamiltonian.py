@@ -32,7 +32,6 @@ __all__ = [
     "ModelError",
     "ohno_potential",
     "build_model",
-    "apply",
 ]
 
 MODEL_KINDS = ("huckel", "hubbard", "ppp", "heisenberg")
@@ -125,11 +124,6 @@ class SparseOperator:
             f"SparseOperator({self.model.kind}, dim={self.dim}, "
             f"sector={self.sector}, nnz={self.matrix.nnz})"
         )
-
-
-def apply(operator: SparseOperator, x: np.ndarray) -> np.ndarray:
-    """y = H x (deterministic; length-checked)."""
-    return operator.apply(x)
 
 
 def _hop_bit_masks(masks: np.ndarray, n_sites: int, a: int, b: int) -> tuple[np.ndarray, ...]:

@@ -98,9 +98,6 @@ class Geometry:
     def distance(self, i: int, j: int) -> float:
         return float(self.distance_matrix[i - 1, j - 1])
 
-    def bond_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.bonds)
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -118,11 +115,6 @@ class Bipartition:
             raise GeometryError("left and right parts overlap")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def validate_for(self, geometry: Geometry) -> None:
-        sites = set(self.left) | set(self.right)
-        if sites != set(range(1, geometry.n_sites + 1)):
-            raise GeometryError("bipartition does not cover exactly the geometry's sites")
 
 
 def build_chain(n_sites: int, bond_length: float = 1.397) -> Geometry:

@@ -8,10 +8,13 @@ vectors for a missed copy below the k-th value, swaps it in, and repeats
 until the complement holds nothing lower.  All start vectors come from a
 seeded generator, which makes solves reproducible.
 
-`lowest_in_label` solves a symmetry label inside its (C2, eh) subspace:
-it runs the same solver on Q^T H Q, with Q the sparse orthonormal orbit
-basis of the projector (about a quarter of the sector), and lifts the
-vectors back with Q.
+Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
+projector of the operator's sector and its sparse orthonormal orbit basis Q
+(about a quarter of the sector), and `_restrict` forms Q^T H Q.
+`dense_subspace_spectrum` diagonalizes that block densely and
+`lowest_in_label` runs the Lanczos solver on it; both lift the vectors back
+with Q, rotate degenerate manifolds to sharp S^2 and keep the states of one
+total spin by the same rule, `_select_spin`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .basis import BasisTable
 from .hamiltonian import SparseOperator
 from .symmetry import (
     MixedSpinError,
+    Projector,
     SymmetryLabel,
     apply_splus,
     format_label,
@@ -81,6 +85,8 @@ class EigenSet:
         self.residuals = np.asarray(self.residuals, dtype=float)
         if self.vectors.ndim != 2 or self.vectors.shape[1] != len(self.values):
             raise SolverError("vectors must be (dim, k) matching the eigenvalue count")
+        if np.all(self.values[:-1] <= self.values[1:]):
+            return  # already ascending: the stable sort would copy for nothing
         order = np.argsort(self.values, kind="stable")
         self.values = self.values[order]
         self.vectors = self.vectors[:, order]
@@ -110,13 +116,13 @@ class DegenerateManifold:
 
 
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
-    """Fix each column's sign so its largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    """Flip, in place, each column's sign so its largest-magnitude entry is
+    positive; every caller passes an array it owns."""
+    for j in range(vectors.shape[1]):
+        i = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[i, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return vectors
 
 
 def _as_matrix(operator):
@@ -131,49 +137,88 @@ def _as_matrix(operator):
     return arr
 
 
+def _symmetry_subspace(
+    operator: SparseOperator, c2_parity: int | None, eh_parity: int | None, name: str
+) -> tuple[Projector, sp.csr_matrix]:
+    """The (C2, eh) projector of the operator's sector and its orthonormal
+    orbit basis Q; an empty subspace is an error."""
+    proj = projector(operator.basis, operator.geometry, c2_parity, eh_parity)
+    q = proj.orbit_basis()
+    if q.shape[1] == 0:
+        raise SolverError(
+            f"the {name} symmetry subspace of sector {operator.basis.sector} is empty"
+        )
+    return proj, q
+
+
 def _restrict(operator: SparseOperator, subspace: sp.csr_matrix) -> sp.csr_matrix:
     """Q^T H Q, symmetrized, for an orthonormal sparse subspace basis Q."""
     hs = subspace.T @ (operator.matrix @ subspace)
     return (0.5 * (hs + hs.T)).tocsr()
 
 
+def _select_spin(eigenset: EigenSet, basis: BasisTable, spin: float,
+                 limit: int | None = None) -> list[int]:
+    """Indices of the states with sharp total spin `spin`, lowest first and
+    at most `limit` of them; states of mixed spin are skipped."""
+    sel: list[int] = []
+    for i in range(eigenset.k):
+        try:
+            s = total_spin(eigenset.vectors[:, i], basis)
+        except MixedSpinError:
+            continue
+        if abs(s - spin) < 0.25:
+            sel.append(i)
+            if len(sel) == limit:
+                break
+    return sel
+
+
 def dense_spectrum(operator, cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
     """All eigenpairs of a Hermitian operator, ascending."""
-    if isinstance(operator, SparseOperator):
-        dim = operator.dim
-        if dim > cap:
-            raise DimensionCapError(
-                f"dimension {dim} exceeds the dense cap {cap}; use lanczos_lowest"
-            )
-        dense = operator.dense()
-    else:
-        dense = np.asarray(operator, dtype=float) if not sp.issparse(operator) else operator.toarray()
-        dim = dense.shape[0]
-        if dim > cap:
-            raise DimensionCapError(
-                f"dimension {dim} exceeds the dense cap {cap}; use lanczos_lowest"
-            )
+    mat = _as_matrix(operator)
+    if mat.shape[0] > cap:
+        raise DimensionCapError(
+            f"dimension {mat.shape[0]} exceeds the dense cap {cap}; use lanczos_lowest"
+        )
+    dense = mat.toarray() if sp.issparse(mat) else mat
     vals, vecs = sla.eigh(dense)
     vecs = _canonical_sign(vecs)
     res = np.linalg.norm(dense @ vecs - vecs * vals[None, :], axis=0)
     return EigenSet(values=vals, vectors=vecs, residuals=res)
 
 
-def dense_subspace_spectrum(operator: SparseOperator, subspace: sp.csr_matrix,
-                            cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
-    """Full spectrum of H restricted to an orthonormal sparse subspace basis.
+def dense_subspace_spectrum(
+    operator: SparseOperator,
+    c2_parity: int | None,
+    eh_parity: int | None,
+    spin: float | None = None,
+    cap: int = DENSE_CAP_DEFAULT,
+) -> EigenSet:
+    """Full spectrum of one (C2, eh) symmetry block of the operator's sector.
 
-    The returned vectors are lifted back to full sector coordinates.
+    Q^T H Q is diagonalized densely, the vectors are lifted back to sector
+    coordinates, degenerate manifolds are rotated to sharp S^2, and with
+    `spin` given only the states of that total spin are kept.  Either
+    parity may be None to skip that symmetry.
     """
-    m = subspace.shape[1]
-    if m == 0:
-        return EigenSet(np.zeros(0), np.zeros((operator.dim, 0)), np.zeros(0))
+    name = f"(C2 {c2_parity}, eh {eh_parity})"
+    _, q = _symmetry_subspace(operator, c2_parity, eh_parity, name)
+    m = q.shape[1]
     if m > cap:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {cap}")
-    vals, y = sla.eigh(_restrict(operator, subspace).toarray())
-    vecs = _canonical_sign(subspace @ y)
+    vals, y = sla.eigh(_restrict(operator, q).toarray())
+    vecs = _canonical_sign(q @ y)
     res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
-    return EigenSet(values=vals, vectors=vecs, residuals=res)
+    eig = sharpen_spin(EigenSet(values=vals, vectors=vecs, residuals=res), operator.basis)
+    if spin is None:
+        return eig
+    keep = _select_spin(eig, operator.basis, spin)
+    if not keep:
+        raise SolverError(f"no states of total spin {spin} in the {name} symmetry subspace")
+    return EigenSet(
+        values=eig.values[keep], vectors=eig.vectors[:, keep], residuals=eig.residuals[keep]
+    )
 
 
 def lanczos_lowest(
@@ -314,13 +359,12 @@ def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -
             s2 = m * (m + 1.0) * np.eye(j - i) + imat
             _, rot = sla.eigh(s2)
             vectors[:, i:j] = block @ rot
-    out = EigenSet(
+    return EigenSet(
         values=eigenset.values.copy(),
         vectors=_canonical_sign(vectors),
         residuals=eigenset.residuals.copy(),
         labels=list(eigenset.labels) if eigenset.labels else None,
     )
-    return out
 
 
 def lowest_in_label(
@@ -346,13 +390,8 @@ def lowest_in_label(
             f"label {format_label(label)} is solved in the 2M_S = {want_tm} sector, "
             f"but the operator was built for 2M_S = {basis.sector.twice_ms}"
         )
-    proj = projector(basis, operator.geometry, label.c2_parity, label.eh_parity)
-    q = proj.orbit_basis()
+    proj, q = _symmetry_subspace(operator, label.c2_parity, label.eh_parity, format_label(label))
     m = q.shape[1]
-    if m == 0:
-        raise SolverError(
-            f"the {format_label(label)} symmetry subspace of sector {basis.sector} is empty"
-        )
     hs = _restrict(operator, q)
 
     solve_k = k + 3
@@ -361,16 +400,7 @@ def lowest_in_label(
         sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed, max_basis=max_basis)
         eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
         eig = sharpen_spin(eig, basis)
-        sel: list[int] = []
-        for i in range(eig.k):
-            try:
-                s = total_spin(eig.vectors[:, i], basis)
-            except MixedSpinError:
-                continue
-            if abs(s - label.total_spin) < 0.25:
-                sel.append(i)
-            if len(sel) == k:
-                break
+        sel = _select_spin(eig, basis, label.total_spin, limit=k)
         if len(sel) >= k or solve_k >= cap:
             break
         solve_k = min(cap, solve_k * 2)

@@ -118,12 +118,6 @@ class SignedPermutation:
         out[self.perm] = self.sign * v
         return out
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self o other (apply `other` first)."""
-        return SignedPermutation(
-            self.perm[other.perm], other.sign * self.sign[other.perm]
-        )
-
 
 def _permute_masks(masks: np.ndarray, n_sites: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Image masks and fermionic signs of one spin channel under a site permutation.
@@ -326,6 +320,9 @@ def projector(
     Either parity may be None to skip that symmetry (e.g. eh on spin models
     or on non-alternant geometries).
     """
+    for name, parity in (("C2", c2_parity), ("electron-hole", eh_parity)):
+        if parity not in (1, -1, None):
+            raise SymmetryError(f"{name} parity must be +1, -1 or None, got {parity!r}")
     c2 = c2_operator(basis, geometry) if c2_parity is not None else None
     eh = None
     if eh_parity is not None:

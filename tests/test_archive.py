@@ -103,6 +103,10 @@ def test_not_an_archive(tmp_path):
         (lambda h: h.update(seed="x"), "seed"),
         (lambda h: h.update(labels=["1_Ag+"]), "labels"),
         (lambda h: h["geometry"].pop("coords"), "geometry"),
+        pytest.param(lambda h: h["sector"].update(twice_ms=2), "sector", id="sector-vs-shape"),
+        pytest.param(
+            lambda h: h["sector"].update(n_electrons=None), "sector", id="sector-vs-model"
+        ),
     ],
 )
 def test_verify_rejects_malformed_header(solved, capsys, edit, field):
@@ -116,3 +120,11 @@ def test_verify_rejects_malformed_header(solved, capsys, edit, field):
         read_archive(path)
     assert main(["verify", str(path)]) == 2
     assert f"unreadable archive: {path}: header '{field}'" in capsys.readouterr().err
+    cfg = path.with_name("entangle.json")
+    cfg.write_text(json.dumps({
+        "run": {"task": "entangle", "output": str(path.with_name("out"))},
+        "input": {"archive": str(path)},
+        "entangle": {"left_size": 2},
+    }))
+    assert main(["run", str(cfg)]) == 2
+    assert f"validation error: {path}: header '{field}'" in capsys.readouterr().err

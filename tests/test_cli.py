@@ -319,7 +319,7 @@ bin_width = 1.0
     assert lines[1] == "x,y"
 
 
-def test_sweep_and_dos_tasks(tmp_path):
+def test_sweep_and_dos_tasks(tmp_path, capsys):
     sweep_text = """\
 [run]
 task = sweep
@@ -357,6 +357,45 @@ left_size = 3
     assert main(["run", str(cfg)]) == 0
     files = {p.name for p in (tmp_path / "dos_out").iterdir()}
     assert {"dos.csv", "entropy_vs_dos.csv", "manifest.json"} <= files
+    capsys.readouterr()
+    for good, bad in (("c2 = 1", "c2 = 2"), ("eh = 1", "eh = 0"), ("spin = 0", "spin = 0.3")):
+        text = dos_text.replace(good, bad).format(out=tmp_path / "bad_out")
+        assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
+        assert "[subspace]" in capsys.readouterr().err
+
+
+def test_subspace_profile_solves_the_configured_sector(tmp_path):
+    # [subspace] acts on the [sector] as given, not on the half-filled one
+    from edkit.basis import Sector
+    from edkit.hamiltonian import ModelSpec, build_model
+    from edkit.lattice import build_chain
+    from edkit.solver import dense_subspace_spectrum
+
+    cfg_text = """\
+[run]
+task = profile
+output = {out}
+[geometry]
+kind = chain
+n_sites = 6
+[model]
+kind = hubbard
+t = -1.0
+U = 4.0
+[sector]
+n_electrons = 4
+twice_ms = 0
+[subspace]
+c2 = 1
+[entangle]
+left_size = 3
+"""
+    cfg = _write(tmp_path, "n4.cfg", cfg_text.format(out=tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "profile_none.csv").read_text().splitlines()[2:]
+    h = build_model(build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
+    want = dense_subspace_spectrum(h, 1, None).values
+    assert [float(row.split(",")[0]) for row in rows] == want.tolist()
 
 
 def test_icosahedron_inspection_profile(tmp_path):

@@ -11,7 +11,6 @@ from edkit.entanglement import (
     entropy_bits,
     free_fermion_oracle,
     schmidt_spectrum,
-    sector_table,
 )
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import Bipartition, Geometry, build_chain, half_cut
@@ -38,7 +37,7 @@ def test_product_state_zero_entropy():
     v = np.array([1.0])
     spec = schmidt_spectrum(v, b, half_cut(g, 1))
     assert spec.total_entropy == pytest.approx(0.0, abs=1e-14)
-    rows = sector_table(v, b, half_cut(g, 1))
+    rows = schmidt_spectrum(v, b, half_cut(g, 1)).sector_entropies()
     assert len(rows) == 1 and rows[0][1] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -86,7 +85,7 @@ def test_sector_conjugation_symmetry():
     # sectors carry equal partial entropies
     g = build_chain(6)
     v, basis = _ground(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
-    rows = dict(sector_table(v, basis, half_cut(g, 3)))
+    rows = dict(schmidt_spectrum(v, basis, half_cut(g, 3)).sector_entropies())
     for (tm, n), val in rows.items():
         assert rows[(-tm, n)] == pytest.approx(val, abs=1e-8)
         assert rows[(tm, 6 - n)] == pytest.approx(val, abs=1e-8)

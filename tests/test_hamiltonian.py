@@ -5,7 +5,7 @@ import pytest
 
 from conftest import brute_dense_hubbard
 from edkit.basis import Sector
-from edkit.hamiltonian import ModelError, ModelSpec, apply, build_model, ohno_potential
+from edkit.hamiltonian import ModelError, ModelSpec, build_model, ohno_potential
 from edkit.lattice import build_chain
 
 
@@ -72,9 +72,9 @@ def test_ppp_reduces_to_hubbard_plus_density_term():
 def test_apply_zero_and_length_check():
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
-    assert np.all(apply(h, np.zeros(h.dim)) == 0)
+    assert np.all(h.apply(np.zeros(h.dim)) == 0)
     with pytest.raises(ModelError):
-        apply(h, np.zeros(h.dim + 1))
+        h.apply(np.zeros(h.dim + 1))
 
 
 def test_apply_matches_brute_force_dense():

@@ -206,8 +206,7 @@ def test_dense_subspace_spectrum_matches_projected_scan():
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
     proj = projector(h.basis, g, 1, 1)
-    q = proj.orbit_basis()
-    sub = dense_subspace_spectrum(h, q)
+    sub = dense_subspace_spectrum(h, 1, 1)
     dense = dense_spectrum(h)
     # every subspace eigenvalue appears in the full spectrum
     for lam in sub.values:
@@ -231,6 +230,29 @@ def test_sharpen_spin_separates_mixed_manifold():
     sharp = sharpen_spin(mixed, h.basis)
     spins = sorted(total_spin(sharp.vectors[:, i], h.basis) for i in range(2))
     assert spins == [0.0, 1.0]
+
+
+def test_sharpen_spin_holds_one_copy_of_the_block():
+    # the 6-site 1_Ag+ block has no degenerate manifold, so sharpening only
+    # copies the vectors once (the input is never mutated) and fixes signs
+    import tracemalloc
+
+    g = build_chain(6)
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
+    q = projector(h.basis, g, 1, 1).orbit_basis()
+    vals, y = np.linalg.eigh((q.T @ h.matrix @ q).toarray())
+    eig = EigenSet(values=vals, vectors=q @ y, residuals=np.zeros(len(vals)))
+    assert [m.multiplicity for m in group_degenerate(eig)] == [1] * eig.k
+    before = eig.vectors.copy()
+    tracemalloc.start()
+    try:
+        sharp = sharpen_spin(eig, h.basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * eig.vectors.nbytes
+    assert np.array_equal(eig.vectors, before)
+    assert np.array_equal(np.abs(sharp.vectors), np.abs(before))
 
 
 def test_lanczos_nonconvergence_best_residual_finite():
@@ -259,7 +281,7 @@ def test_lanczos_projected_k4_eight_site_subspace():
     for i in range(a.k):
         v = lifted[:, i]
         assert np.linalg.norm(proj.apply(v) - v) <= 1e-8
-    sub = dense_subspace_spectrum(h, q)
+    sub = dense_subspace_spectrum(h, 1, 1)
     assert np.abs(a.values - sub.values[:4]).max() < 1e-9
 
 
