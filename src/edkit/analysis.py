@@ -1,18 +1,14 @@
 """Figure-level studies: sweeps, entropy profiles, DoS histograms, smoothing.
 
 Everything here composes the lower modules: build a model, solve, cut,
-measure.  Sweep points are independent jobs; the worker count is read from
-the EDKIT_WORKERS environment variable (default 1) and result assembly is
-ordered by parameter value regardless of completion order.
+measure.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -89,21 +85,6 @@ class EntropyDosComparison:
     spearman: float | None
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EDKIT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, args: Sequence) -> list:
-    n = _workers()
-    if n == 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, args))
-
-
 def _energy_bins(energies: np.ndarray, bin_width: float) -> tuple[float, np.ndarray]:
     """E_min and the bin index floor((E - E_min) / w) of every energy."""
     if bin_width <= 0:
@@ -175,6 +156,10 @@ def entropy_profile(
     raw-ends/groups-of-4/groups-of-10 scheme (needs at least 90 states,
     otherwise falls back to "none" with a warning); "energy_bin" averages
     the entropy inside successive energy windows of `bin_width`.
+
+    Inside a degenerate manifold the per-state entropy depends on the basis
+    that the eigensolver and the S^2 rotation return; the basis-independent
+    quantity is `entanglement.degenerate_average`.
     """
     energies = eigenset.values
     entropies = _state_entropies(eigenset, basis, bipartition)
@@ -241,13 +226,10 @@ def sweep_ground_state(
         if n % 2 != 0 or n < 4:
             raise AnalysisError(f"chain lengths must be even and at least 4, got {n}")
 
-    def one(item: tuple[str, ModelSpec, int]) -> float:
-        _, spec, n = item
-        return ground_state_entropy(build_chain(n, bond_length), spec, tol=tol, seed=seed)
-
     out: dict[str, Profile] = {}
     for name, spec in models.items():
-        ys = _map_ordered(one, [(name, spec, n) for n in lengths])
+        ys = [ground_state_entropy(build_chain(n, bond_length), spec, tol=tol, seed=seed)
+              for n in lengths]
         out[name] = Profile(
             x=np.array(lengths, dtype=float),
             y=np.array(ys),
@@ -273,11 +255,7 @@ def sweep_block_size(
     h = build_model(geometry, spec, _default_sector(geometry, spec))
     eig = lanczos_lowest(h, k=1, tol=tol, seed=seed)
     v = eig.vectors[:, 0]
-
-    def one(b: int) -> float:
-        return schmidt_spectrum(v, h.basis, half_cut(geometry, b)).total_entropy
-
-    ys = _map_ordered(one, blocks)
+    ys = [schmidt_spectrum(v, h.basis, half_cut(geometry, b)).total_entropy for b in blocks]
     return Profile(
         x=np.array(blocks, dtype=float),
         y=np.array(ys),

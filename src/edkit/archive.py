@@ -126,7 +126,11 @@ def write_archive(
 
 
 def read_header(path) -> dict:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ArchiveError(f"{path}: cannot read archive ({exc.strerror})") from None
+    with fh:
         magic = fh.read(_MAGIC_LINE_LEN)
         if len(magic) != _MAGIC_LINE_LEN or not magic.startswith(_MAGIC.encode("ascii")):
             raise ArchiveError(f"{path}: not an edkit eigenpair archive")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,9 +73,12 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
+        return value
 
     def _get_int(self, section: str, key: str, default=None, required: bool = False):
         raw = self._get(section, key, default=None, required=required)

@@ -14,7 +14,10 @@ projector of the operator's sector and its sparse orthonormal orbit basis Q
 `dense_subspace_spectrum` diagonalizes that block densely and
 `lowest_in_label` runs the Lanczos solver on it; both lift the vectors back
 with Q, rotate degenerate manifolds to sharp S^2 and keep the states of one
-total spin by the same rule, `_select_spin`.
+total spin by the same rule, `_select_spin`.  Both spin steps use the sparse
+S+ of `symmetry.raising_operator` on whole blocks: `sharpen_spin` forms each
+manifold's S^2 Gram matrix from its raised images, and `_select_spin` takes
+<S^2> of every candidate from one product.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .symmetry import (
     MixedSpinError,
     Projector,
     SymmetryLabel,
-    apply_splus,
+    _spin_of,
     format_label,
     projector,
-    total_spin,
+    raising_operator,
+    spin_squared,
 )
 
 __all__ = [
@@ -162,9 +166,9 @@ def _select_spin(eigenset: EigenSet, basis: BasisTable, spin: float,
     """Indices of the states with sharp total spin `spin`, lowest first and
     at most `limit` of them; states of mixed spin are skipped."""
     sel: list[int] = []
-    for i in range(eigenset.k):
+    for i, s2 in enumerate(spin_squared(eigenset.vectors, basis)):
         try:
-            s = total_spin(eigenset.vectors[:, i], basis)
+            s = _spin_of(s2, basis.sector.twice_ms)
         except MixedSpinError:
             continue
         if abs(s - spin) < 0.25:
@@ -351,13 +355,14 @@ def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -
     """
     m = basis.sector.twice_ms / 2.0
     vectors = eigenset.vectors.copy()
+    raising = None  # built at the first degenerate manifold
     for i, j in _degenerate_ranges(eigenset.values, rel_tol):
         if j - i > 1:
+            if raising is None:
+                raising = raising_operator(basis)
             block = vectors[:, i:j]
-            images = [apply_splus(block[:, c], basis)[0] for c in range(j - i)]
-            imat = np.array([[float(a @ b) for b in images] for a in images])
-            s2 = m * (m + 1.0) * np.eye(j - i) + imat
-            _, rot = sla.eigh(s2)
+            images = raising @ block
+            _, rot = sla.eigh(m * (m + 1.0) * np.eye(j - i) + images.T @ images)
             vectors[:, i:j] = block @ rot
     return EigenSet(
         values=eigenset.values.copy(),

@@ -14,6 +14,10 @@ module):
   pi spin rotation that keeps every half-filled (N_e, M_S) sector inside
   itself.  Its overall phase is fixed so the alternating covalent (Neel
   type) reference configuration maps with coefficient +1.
+
+Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
+sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
+of one vector or of a block, is formed with it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisTable, Sector, _masks_with_popcount, _spin_codes
+from .basis import BasisTable, _masks_with_popcount, _spin_codes
 from .lattice import Geometry
 
 __all__ = [
@@ -41,7 +45,7 @@ __all__ = [
     "projector",
     "spin_squared",
     "total_spin",
-    "apply_splus",
+    "raising_operator",
     "parse_label",
     "format_label",
     "classify",
@@ -349,101 +353,71 @@ def project(
 # --- total spin ---------------------------------------------------------------
 
 
-def _splus_fermion(vector: np.ndarray, basis: BasisTable) -> tuple[np.ndarray, BasisTable | None]:
-    sec = basis.sector
-    n = basis.n_sites
-    if sec.n_dn == 0 or sec.n_up >= n:
-        return np.zeros(0), None
-    target = BasisTable(
-        kind="fermion",
-        n_sites=n,
-        sector=Sector(sec.n_electrons, sec.twice_ms + 2),
-        up_masks=_masks_with_popcount(n, sec.n_up + 1),
-        dn_masks=_masks_with_popcount(n, sec.n_dn - 1),
-    )
-    out = np.zeros(target.dim)
-    if target.dim == 0:
-        return out, target
-    nd_src = len(basis.dn_masks)
-    nd_tgt = len(target.dn_masks)
-    v = vector.reshape(len(basis.up_masks), nd_src)
-    for site in range(1, n + 1):
-        bit = np.uint64(1 << (site - 1))
-        below = np.uint64((1 << (site - 1)) - 1)
-        up_ok = (basis.up_masks & bit) == 0
-        dn_ok = (basis.dn_masks & bit) != 0
-        if not up_ok.any() or not dn_ok.any():
-            continue
-        iu = np.flatnonzero(up_ok)
-        idn = np.flatnonzero(dn_ok)
-        new_up = basis.up_masks[iu] | bit
-        new_dn = basis.dn_masks[idn] ^ bit
-        tu = np.searchsorted(target.up_masks, new_up)
-        td = np.searchsorted(target.dn_masks, new_dn)
-        # annihilate dn at orbital N+site-1: all up spins plus dn below count;
-        # create up at orbital site-1: up bits below count
-        par_dn = np.bitwise_count(basis.dn_masks[idn] & below).astype(np.int64) + sec.n_up
-        par_up = np.bitwise_count(basis.up_masks[iu] & below).astype(np.int64)
-        s_u = np.where(par_up % 2 == 0, 1.0, -1.0)
-        s_d = np.where(par_dn % 2 == 0, 1.0, -1.0)
-        out_view = out.reshape(len(target.up_masks), nd_tgt)
-        np.add.at(out_view, (tu[:, None], td[None, :]), s_u[:, None] * s_d[None, :] * v[np.ix_(iu, idn)])
-    return out, target
+def raising_operator(basis: BasisTable) -> sp.csr_matrix:
+    """S+ = sum_i S+_i as a sparse map from the sector to its 2M_S + 2 sector.
 
-
-def _splus_spin(vector: np.ndarray, basis: BasisTable) -> tuple[np.ndarray, BasisTable | None]:
-    twice = basis.twice_site_spin
-    n = basis.n_sites
-    sec = basis.sector
-    if sec.twice_ms + 2 > n * twice:
-        return np.zeros(0), None
-    codes_tgt = _spin_codes(n, twice + 1, sec.twice_ms + 2, twice)
-    target = BasisTable(
-        kind="spin", n_sites=n, sector=Sector(None, sec.twice_ms + 2),
-        twice_site_spin=twice, spin_codes=codes_tgt,
-    )
-    out = np.zeros(target.dim)
-    if target.dim == 0:
-        return out, target
-    digits = basis.digit_matrix().astype(np.int64)
-    for site in range(1, n + 1):
-        d = digits[:, site - 1]
-        ok = d < twice
-        src = np.flatnonzero(ok)
-        if len(src) == 0:
-            continue
-        coeff = np.sqrt(((twice - d[src]) * (d[src] + 1)).astype(float))
-        new = (basis.spin_codes[src].astype(np.int64) + (1 << (2 * (site - 1)))).astype(np.uint64)
-        tgt = np.searchsorted(codes_tgt, new)
-        np.add.at(out, tgt, coeff * vector[src])
-    return out, target
-
-
-def apply_splus(vector: np.ndarray, basis: BasisTable) -> tuple[np.ndarray, BasisTable | None]:
-    """S+ |v>, returned in the (2M_S + 2) sector basis.
-
-    Returns (zeros(0), None) when the raised sector does not exist, i.e.
-    the input sector is fully polarized.
+    Fermions raise one site at a time with c+_{i,up} c_{i,dn}; its sign is
+    the parity of the up operators below site i (creation) times that of
+    every up operator and the down operators below site i (annihilation).
+    Spin digits d < 2s rise by one with sqrt((2s - d)(d + 1)).  A fully
+    polarized sector has no raised sector, and the matrix has no rows.
     """
-    vector = np.asarray(vector, dtype=float)
+    n = basis.n_sites
+    sec = basis.sector
+    rows, cols, vals = [], [], []
     if basis.kind == "fermion":
-        return _splus_fermion(vector, basis)
-    return _splus_spin(vector, basis)
+        up, dn = basis.up_masks, basis.dn_masks
+        up_raised = _masks_with_popcount(n, sec.n_up + 1)
+        dn_raised = _masks_with_popcount(n, sec.n_dn - 1)
+        for site in range(n):
+            bit = np.uint64(1 << site)
+            below = np.uint64((1 << site) - 1)
+            iu = np.flatnonzero((up & bit) == 0)
+            idn = np.flatnonzero((dn & bit) != 0)
+            tu = np.searchsorted(up_raised, up[iu] | bit)
+            td = np.searchsorted(dn_raised, dn[idn] ^ bit)
+            s_u = 1 - 2 * (np.bitwise_count(up[iu] & below).astype(np.int64) % 2)
+            s_d = 1 - 2 * ((np.bitwise_count(dn[idn] & below).astype(np.int64) + sec.n_up) % 2)
+            rows.append((tu[:, None] * len(dn_raised) + td[None, :]).ravel())
+            cols.append((iu[:, None] * len(dn) + idn[None, :]).ravel())
+            vals.append((s_u[:, None] * s_d[None, :]).ravel().astype(float))
+        raised_dim = len(up_raised) * len(dn_raised)
+    else:
+        twice = basis.twice_site_spin
+        codes_raised = _spin_codes(n, twice + 1, sec.twice_ms + 2, twice)
+        digits = basis.digit_matrix().astype(np.int64)
+        for site in range(n):
+            src = np.flatnonzero(digits[:, site] < twice)
+            d = digits[src, site]
+            rows.append(np.searchsorted(codes_raised, basis.spin_codes[src] + np.uint64(1 << (2 * site))))
+            cols.append(src)
+            vals.append(np.sqrt(((twice - d) * (d + 1)).astype(float)))
+        raised_dim = len(codes_raised)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(raised_dim, basis.dim),
+    )
 
 
-def spin_squared(vector: np.ndarray, basis: BasisTable) -> float:
-    """<S^2> = M_S(M_S + 1) + |S+ v|^2 for a normalized sector vector."""
-    vector = np.asarray(vector, dtype=float)
+def spin_squared(vectors: np.ndarray, basis: BasisTable) -> float | np.ndarray:
+    """<S^2> = M_S(M_S + 1) + |S+ v|^2 of a normalized sector vector, or of
+    every column of a (dim, k) block."""
+    vectors = np.asarray(vectors, dtype=float)
     m = basis.sector.twice_ms / 2.0
-    image, _ = apply_splus(vector, basis)
-    return float(m * (m + 1.0) + image @ image)
+    images = raising_operator(basis) @ vectors
+    s2 = m * (m + 1.0) + np.einsum("i...,i...->...", images, images)
+    return float(s2) if vectors.ndim == 1 else s2
 
 
 def total_spin(vector: np.ndarray, basis: BasisTable, tol: float = 1e-6) -> float:
     """Total spin S with <S^2> = S(S+1); raises MixedSpinError otherwise."""
-    s2 = spin_squared(vector, basis)
+    return _spin_of(spin_squared(vector, basis), basis.sector.twice_ms, tol)
+
+
+def _spin_of(s2: float, twice_ms: int, tol: float = 1e-6) -> float:
+    """The S, compatible with 2M_S, whose S(S+1) lies within tol of <S^2>."""
     s_est = 0.5 * (-1.0 + sqrt(1.0 + 4.0 * max(s2, 0.0)))
-    tm = abs(basis.sector.twice_ms)
+    tm = abs(twice_ms)
     # 2S must match the parity of 2M_S
     twice_s = round(s_est * 2.0)
     if (twice_s - tm) % 2 != 0:
@@ -452,7 +426,7 @@ def total_spin(vector: np.ndarray, basis: BasisTable, tol: float = 1e-6) -> floa
     best = min(candidates, key=lambda k: abs(s2 - (k / 2) * (k / 2 + 1)))
     if abs(s2 - (best / 2) * (best / 2 + 1)) > tol:
         raise MixedSpinError(
-            f"<S^2> = {s2:.8f} is not within {tol} of any S(S+1) compatible with 2M_S = {basis.sector.twice_ms}"
+            f"<S^2> = {s2:.8f} is not within {tol} of any S(S+1) compatible with 2M_S = {twice_ms}"
         )
     return best / 2.0
 

@@ -85,6 +85,9 @@ def test_not_an_archive(tmp_path):
         read_archive(path)
 
 
+_UNOPENABLE = object()
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -107,19 +110,29 @@ def test_not_an_archive(tmp_path):
         pytest.param(
             lambda h: h["sector"].update(n_electrons=None), "sector", id="sector-vs-model"
         ),
+        # no archive file to open: the edit moves the path instead
+        pytest.param(_UNOPENABLE, "No such file or directory", id="missing-path"),
+        pytest.param(_UNOPENABLE, "Is a directory", id="directory-path"),
     ],
 )
 def test_verify_rejects_malformed_header(solved, capsys, edit, field):
     path, *_ = solved
-    header = read_header(path)
-    payload = path.read_bytes()[int(header["payload_offset"]):]
-    edit(header)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    path.write_bytes(f"EDKITARCHIVE1 {len(blob):016d}\n".encode("ascii") + blob + payload)
+    if edit is _UNOPENABLE:
+        path = path.with_name("moved.edarch")
+        if field == "Is a directory":
+            path.mkdir()
+        reason = f"{path}: cannot read archive ({field})"
+    else:
+        header = read_header(path)
+        payload = path.read_bytes()[int(header["payload_offset"]):]
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+        path.write_bytes(f"EDKITARCHIVE1 {len(blob):016d}\n".encode("ascii") + blob + payload)
+        reason = f"{path}: header '{field}'"
     with pytest.raises(ArchiveError, match=field):
         read_archive(path)
     assert main(["verify", str(path)]) == 2
-    assert f"unreadable archive: {path}: header '{field}'" in capsys.readouterr().err
+    assert f"unreadable archive: {reason}" in capsys.readouterr().err
     cfg = path.with_name("entangle.json")
     cfg.write_text(json.dumps({
         "run": {"task": "entangle", "output": str(path.with_name("out"))},
@@ -127,4 +140,7 @@ def test_verify_rejects_malformed_header(solved, capsys, edit, field):
         "entangle": {"left_size": 2},
     }))
     assert main(["run", str(cfg)]) == 2
-    assert f"validation error: {path}: header '{field}'" in capsys.readouterr().err
+    if path.exists():
+        assert f"validation error: {reason}" in capsys.readouterr().err
+    else:  # the config check finds a missing archive first
+        assert f"config error: input archive {path} does not exist" in capsys.readouterr().err

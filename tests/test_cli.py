@@ -2,6 +2,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from edkit.archive import read_archive, read_header
 from edkit.cli import main
@@ -208,6 +209,48 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         "[run]\ntask = sweep\n[model]\nkind = heisenberg\n[sweep]\nmode = length\nlengths = 4 five\n",
     )
     assert main(["run", str(bad3)]) == 2
+
+
+NONFINITE_CFG = """\
+[run]
+task = {task}
+output = {out}
+[geometry]
+kind = chain
+n_sites = 4
+bond_length = {bond_length}
+[model]
+kind = ppp
+t = -2.4
+U = 11.26
+[sector]
+n_electrons = 4
+twice_ms = 0
+[entangle]
+left_size = 2
+[profile]
+smoothing = energy_bin
+bin_width = {bin_width}
+[target]
+tol = {tol}
+"""
+
+
+@pytest.mark.parametrize(
+    "task, section, key, value",
+    [
+        ("solve", "geometry", "bond_length", "nan"),
+        ("solve", "geometry", "bond_length", "-inf"),
+        ("solve", "target", "tol", "nan"),
+        ("solve", "target", "tol", "inf"),
+        ("profile", "profile", "bin_width", "nan"),
+    ],
+)
+def test_non_finite_number_exit_2(tmp_path, capsys, task, section, key, value):
+    fields = {"bond_length": "1.397", "tol": "1e-10", "bin_width": "0.5", key: value}
+    cfg = _write(tmp_path, "nonfinite.cfg", NONFINITE_CFG.format(task=task, out=tmp_path / "out", **fields))
+    assert main(["run", str(cfg)]) == 2
+    assert f"[{section}] {key} must be a finite number, got '{value}'" in capsys.readouterr().err
 
 
 def test_entangle_from_archive_needs_no_model_block(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import brute_permute_sites
-from edkit.basis import FermionState, Sector, enumerate_sector
+from conftest import brute_permute_sites, masks_of, orbitals_of, sort_parity
+from edkit.basis import FermionState, Sector, SpinState, enumerate_sector
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import build_chain, build_icosahedron
 from edkit.solver import dense_spectrum
@@ -13,7 +13,6 @@ from edkit.symmetry import (
     SymmetryLabel,
     apply_c2,
     apply_eh,
-    apply_splus,
     c2_operator,
     classify,
     eh_operator,
@@ -21,6 +20,7 @@ from edkit.symmetry import (
     parse_label,
     project,
     projector,
+    raising_operator,
     spin_squared,
     total_spin,
 )
@@ -257,16 +257,66 @@ def test_total_spin_polarized_and_singlet():
     assert total_spin(vecs[:, 1], b2) == 1.0
 
 
-def test_splus_annihilates_highest_weight(rng):
-    # the lowest state of the fully polarized sector has S = M_S
+def test_splus_annihilates_highest_weight():
+    # the lowest state of the 2M_S = 2 sector has S = M_S
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 2))
     vals, vecs = np.linalg.eigh(h.dense())
     v = vecs[:, 0]
-    s = total_spin(v, h.basis)
-    image, _ = apply_splus(v, h.basis)
-    if s == 1.0:
-        assert np.linalg.norm(image) < 1e-10
+    assert total_spin(v, h.basis) == 1.0
+    assert np.linalg.norm(raising_operator(h.basis) @ v) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_raising_operator_matches_operator_strings(n):
+    # S+ = sum_i c+_{i,up} c_{i,dn} applied to every canonical operator string
+    g = build_chain(n)
+    for n_up in range(n + 1):
+        for n_dn in range(n + 1):
+            sector = Sector(n_up + n_dn, n_up - n_dn)
+            b = enumerate_sector(g, "hubbard", sector)
+            terms = []
+            for col, st in enumerate(b.states()):
+                orbs = orbitals_of(st.up_mask, st.dn_mask, n)
+                for site in range(n):
+                    if n + site not in orbs or site in orbs:
+                        continue
+                    k = orbs.index(n + site)  # c_{i,dn} passes the k operators before it
+                    out, sign = sort_parity((site,) + orbs[:k] + orbs[k + 1:])
+                    terms.append((masks_of(out, n), col, (-1) ** k * sign))
+            splus = raising_operator(b)
+            if n_dn == 0 or n_up == n:  # fully polarized: no raised sector
+                assert terms == [] and splus.shape == (0, b.dim)
+                continue
+            raised = enumerate_sector(g, "hubbard", Sector(sector.n_electrons, sector.twice_ms + 2))
+            want = np.zeros((raised.dim, b.dim))
+            for masks, col, sign in terms:
+                want[raised.index_of(FermionState(*masks)), col] += sign
+            assert splus.shape == want.shape
+            assert np.array_equal(splus.toarray(), want)
+
+
+@pytest.mark.parametrize("site_spin", [0.5, 1.0])
+def test_raising_operator_matches_digit_ladder(site_spin):
+    # S+_i raises one digit d < 2s with sqrt((2s - d)(d + 1))
+    twice = round(2 * site_spin)
+    for n in (2, 3, 4):
+        g = build_chain(n)
+        for tm in range(-n * twice, n * twice + 1, 2):
+            b = enumerate_sector(g, "heisenberg", Sector(None, tm), site_spin)
+            splus = raising_operator(b)
+            if tm == n * twice:
+                assert splus.shape == (0, b.dim)
+                continue
+            raised = enumerate_sector(g, "heisenberg", Sector(None, tm + 2), site_spin)
+            want = np.zeros((raised.dim, b.dim))
+            for col, st in enumerate(b.states()):
+                for site, d in enumerate(st.digits):
+                    if d < twice:
+                        up = st.digits[:site] + (d + 1,) + st.digits[site + 1:]
+                        want[raised.index_of(SpinState(up)), col] += np.sqrt((twice - d) * (d + 1))
+            assert splus.shape == want.shape
+            assert np.array_equal(splus.toarray(), want)
 
 
 def test_spin_ladder_consistency():
@@ -274,8 +324,10 @@ def test_spin_ladder_consistency():
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="heisenberg", site_spin=1.0), Sector(None, 2))
     vals, vecs = np.linalg.eigh(h.dense())
+    block = spin_squared(vecs, h.basis)
     for k in range(h.dim):
         s2 = spin_squared(vecs[:, k], h.basis)
+        assert block[k] == pytest.approx(s2, abs=1e-12)
         s = total_spin(vecs[:, k], h.basis)
         assert s2 == pytest.approx(s * (s + 1), abs=1e-8)
         assert s >= 1.0
