@@ -25,12 +25,9 @@ from .basis import (
 from .hamiltonian import ModelSpec, SparseOperator, build_model, ohno_potential
 from .symmetry import (
     SymmetryLabel,
-    apply_c2,
-    apply_eh,
     classify,
     format_label,
     parse_label,
-    project,
     total_spin,
 )
 from .solver import (

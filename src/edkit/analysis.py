@@ -93,6 +93,15 @@ def _energy_bins(energies: np.ndarray, bin_width: float) -> tuple[float, np.ndar
     return e_min, np.floor((energies - e_min) / bin_width).astype(np.int64)
 
 
+def _bin_means(
+    e_min: float, idx: np.ndarray, bin_width: float, entropies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center, mean entropy and state count of every non-empty `_energy_bins` bin."""
+    bins, counts = np.unique(idx, return_counts=True)
+    means = [float(entropies[idx == b].mean()) for b in bins]
+    return e_min + (bins + 0.5) * bin_width, np.array(means), counts
+
+
 def dos_histogram(eigenvalues: Sequence[float], bin_width: float = 0.5) -> Profile:
     """Counts of eigenvalues per [E_min + k w, E_min + (k+1) w) bin."""
     ev = np.asarray(eigenvalues, dtype=float)
@@ -180,14 +189,9 @@ def entropy_profile(
         y = np.array([entropies[g].mean() for g in groups])
         return Profile(x=x, y=y, metadata=meta)
     if smoothing == "energy_bin":
-        e_min, idx = _energy_bins(energies, bin_width)
-        xs, ys = [], []
-        for b in np.unique(idx):
-            sel = idx == b
-            xs.append(e_min + (b + 0.5) * bin_width)
-            ys.append(float(entropies[sel].mean()))
+        x, y, _ = _bin_means(*_energy_bins(energies, bin_width), bin_width, entropies)
         meta["bin_width"] = bin_width
-        return Profile(x=np.array(xs), y=np.array(ys), metadata=meta)
+        return Profile(x=x, y=y, metadata=meta)
     raise AnalysisError(f"unknown smoothing mode {smoothing!r}")
 
 
@@ -367,16 +371,7 @@ def entropy_vs_logdos(
     """
     e_min, idx = _energy_bins(eigenset.values, bin_width)
     entropies = _state_entropies(eigenset, basis, bipartition)
-    centers, means, logdos = [], [], []
-    for b in np.unique(idx):
-        sel = idx == b
-        centers.append(e_min + (b + 0.5) * bin_width)
-        means.append(float(entropies[sel].mean()))
-        logdos.append(float(np.log2(np.count_nonzero(sel))))
+    centers, means, counts = _bin_means(e_min, idx, bin_width, entropies)
+    logdos = np.log2(counts)
     corr = spearman_rank(means, logdos) if len(centers) >= 4 else None
-    return EntropyDosComparison(
-        energy=np.array(centers),
-        mean_entropy=np.array(means),
-        log2_dos=np.array(logdos),
-        spearman=corr,
-    )
+    return EntropyDosComparison(energy=centers, mean_entropy=means, log2_dos=logdos, spearman=corr)

@@ -294,6 +294,8 @@ def multiplet_counts(n_sites: int, model_kind: str, site_spin: float = 0.5) -> d
     count(S) = dim(M_S = S) - dim(M_S = S + 1) for the half-filled fermionic
     system or the pure spin system.
     """
+    if n_sites < 0:
+        raise ValueError(f"n_sites must be non-negative, got {n_sites}")
     if is_fermionic_kind(model_kind):
         max_twice = n_sites
         def dim(tm: int) -> int:

@@ -88,7 +88,8 @@ def ohno_potential(u_i: float, u_j: float, r_ij: float) -> float:
 
 
 class SparseOperator:
-    """Hermitian operator restricted to one sector, stored in CSR form."""
+    """Hermitian operator restricted to one sector, stored in CSR form and
+    applied as `matrix @ x`."""
 
     def __init__(
         self,
@@ -109,15 +110,6 @@ class SparseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ModelError(f"vector length {x.shape} does not match dimension {self.dim}")
-        return self.matrix @ x
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -67,6 +67,11 @@ class Geometry:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 3 or coords.shape[0] < 1:
             raise GeometryError(f"coords must have shape (n_sites, 3), got {coords.shape}")
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            site = int(np.argmin(finite)) + 1
+            bad = coords[site - 1].tolist()
+            raise GeometryError(f"site {site} coordinates must be finite, got {bad}")
         coords = coords.copy()
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -121,8 +126,8 @@ def build_chain(n_sites: int, bond_length: float = 1.397) -> Geometry:
     """Open chain of equally spaced collinear sites bonded consecutively."""
     if n_sites < 2:
         raise GeometryError(f"a chain needs at least 2 sites, got {n_sites}")
-    if bond_length <= 0:
-        raise GeometryError(f"bond_length must be positive, got {bond_length}")
+    if not 0 < bond_length < np.inf:
+        raise GeometryError(f"bond_length must be positive and finite, got {bond_length}")
     coords = np.zeros((n_sites, 3))
     coords[:, 0] = bond_length * np.arange(n_sites)
     bonds = tuple((i, i + 1) for i in range(1, n_sites))
@@ -204,8 +209,8 @@ def build_icosahedron(edge_length: float = 1.397) -> Geometry:
     declared two-fold axis passes through the midpoints of the opposite
     edges (1,2) and (9,12).
     """
-    if edge_length <= 0:
-        raise GeometryError(f"edge_length must be positive, got {edge_length}")
+    if not 0 < edge_length < np.inf:
+        raise GeometryError(f"edge_length must be positive and finite, got {edge_length}")
     coords = _icosahedron_coords(edge_length)
     bonds = _min_distance_pairs(coords)
     axis = 0.5 * (coords[0] + coords[1])

@@ -17,7 +17,9 @@ with Q, rotate degenerate manifolds to sharp S^2 and keep the states of one
 total spin by the same rule, `_select_spin`.  Both spin steps use the sparse
 S+ of `symmetry.raising_operator` on whole blocks: `sharpen_spin` forms each
 manifold's S^2 Gram matrix from its raised images, and `_select_spin` takes
-<S^2> of every candidate from one product.
+<S^2> of every candidate from one product.  `lowest_in_label` checks the
+returned block against the projector P itself, not against Q: one
+`P @ block` product must leave every vector within 1e-8.
 """
 
 from __future__ import annotations
@@ -415,10 +417,9 @@ def lowest_in_label(
             f"among the lowest {min(solve_k, m)} of the symmetry subspace"
         )
     vecs = eig.vectors[:, sel]
-    for i in range(vecs.shape[1]):
-        drift = float(np.linalg.norm(proj.apply(vecs[:, i]) - vecs[:, i]))
-        if drift > 1e-8:
-            raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
+    drift = float(np.max(np.linalg.norm(proj.apply(vecs) - vecs, axis=0), initial=0.0))
+    if drift > 1e-8:
+        raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
     return EigenSet(
         values=eig.values[sel],
         vectors=vecs,

@@ -1,19 +1,24 @@
 """Two-fold reflection, electron-hole conjugation, and spin diagnostics.
 
-Both discrete symmetries act on a sector as signed permutations of the
-basis, so projections and symmetry-adapted subspace bases stay sparse.
+Every operator here is a `scipy.sparse.csr_matrix` on a sector and is
+applied with `@`.  The two discrete symmetries are signed permutation
+matrices, with entry sign[i] at (perm[i], i), so projections and
+symmetry-adapted subspace bases stay sparse.
 
 Conventions (all signs follow the canonical operator ordering of the basis
 module):
 
 * The reflection permutes sites by the geometry's declared two-fold
   permutation; the fermionic sign is the parity of re-sorting each spin
-  channel's creation operators.
+  channel's creation operators.  In half-filled sectors the overall phase
+  is fixed so the alternating covalent (Neel type) reference configuration
+  maps with coefficient +1.
 * The electron-hole operation conjugates c+_{i,up} -> (-1)^i c_{i,dn}
   (site 1 odd), i.e. the particle-hole transformation combined with the
   pi spin rotation that keeps every half-filled (N_e, M_S) sector inside
-  itself.  Its overall phase is fixed so the alternating covalent (Neel
-  type) reference configuration maps with coefficient +1.
+  itself.  It exists on alternant geometries only.  Its phase is one
+  constant, fixed to +1 by the covalent reference, so its matrix is a
+  plain permutation.
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
@@ -28,20 +33,16 @@ from math import sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisTable, _masks_with_popcount, _spin_codes
+from .basis import BasisTable, FermionState, _masks_with_popcount, _spin_codes
 from .lattice import Geometry
 
 __all__ = [
     "SymmetryLabel",
     "SymmetryError",
     "MixedSpinError",
-    "SignedPermutation",
     "Projector",
     "c2_operator",
     "eh_operator",
-    "apply_c2",
-    "apply_eh",
-    "project",
     "projector",
     "spin_squared",
     "total_spin",
@@ -106,23 +107,6 @@ def parse_label(text: str) -> SymmetryLabel:
     )
 
 
-class SignedPermutation:
-    """Operator e_i -> sign[i] * e_{perm[i]} on one sector."""
-
-    def __init__(self, perm: np.ndarray, sign: np.ndarray) -> None:
-        self.perm = np.asarray(perm, dtype=np.int64)
-        self.sign = np.asarray(sign, dtype=np.int8)
-
-    @property
-    def dim(self) -> int:
-        return len(self.perm)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        out[self.perm] = self.sign * v
-        return out
-
-
 def _permute_masks(masks: np.ndarray, n_sites: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Image masks and fermionic signs of one spin channel under a site permutation.
 
@@ -140,12 +124,18 @@ def _permute_masks(masks: np.ndarray, n_sites: int, perm: tuple[int, ...]) -> tu
             if perm[s1 - 1] > perm[s2 - 1]:
                 pair = np.uint64((1 << (s1 - 1)) | (1 << (s2 - 1)))
                 inversions += (np.bitwise_count(masks & pair) == 2).astype(np.int64)
-    sign = np.where(inversions % 2 == 0, 1, -1).astype(np.int8)
+    sign = np.where(inversions % 2 == 0, 1.0, -1.0)
     return new, sign
 
 
-def c2_operator(basis: BasisTable, geometry: Geometry) -> SignedPermutation:
-    """Signed permutation of the declared two-fold symmetry on a sector.
+def _signed_permutation(perm: np.ndarray, sign: np.ndarray) -> sp.csr_matrix:
+    """The matrix of e_i -> sign[i] e_{perm[i]}: entry sign[i] at (perm[i], i)."""
+    dim = len(perm)
+    return sp.csr_matrix((sign, (perm, np.arange(dim))), shape=(dim, dim))
+
+
+def c2_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
+    """Signed permutation matrix of the declared two-fold symmetry on a sector.
 
     For half-filled fermionic sectors the overall operator phase is fixed
     so that the alternating covalent reference configuration maps with
@@ -163,23 +153,17 @@ def c2_operator(basis: BasisTable, geometry: Geometry) -> SignedPermutation:
         dn_new, dn_sign = _permute_masks(basis.dn_masks, n, perm)
         iu = np.searchsorted(basis.up_masks, up_new)
         idn = np.searchsorted(basis.dn_masks, dn_new)
-        nd = len(basis.dn_masks)
-        gperm = (iu[:, None] * nd + idn[None, :]).reshape(-1)
+        gperm = (iu[:, None] * len(basis.dn_masks) + idn[None, :]).reshape(-1)
         gsign = (up_sign[:, None] * dn_sign[None, :]).reshape(-1)
-        if basis.sector.n_electrons == n:
-            up_ref, dn_ref = _neel_reference(n, basis.sector.n_up)
-            i_ref = int(np.searchsorted(basis.up_masks, np.uint64(up_ref))) * nd + int(
-                np.searchsorted(basis.dn_masks, np.uint64(dn_ref))
-            )
-            if gsign[i_ref] < 0:
-                gsign = (-gsign).astype(np.int8)
-        return SignedPermutation(gperm, gsign)
+        if basis.sector.n_electrons == n and gsign[_reference_index(basis)] < 0:
+            gsign = -gsign
+        return _signed_permutation(gperm, gsign)
     codes = basis.spin_codes
     new = np.zeros_like(codes)
     for site in range(1, n + 1):
         digit = (codes >> np.uint64(2 * (site - 1))) & np.uint64(3)
         new |= digit << np.uint64(2 * (perm[site - 1] - 1))
-    return SignedPermutation(np.searchsorted(codes, new), np.ones(len(codes), dtype=np.int8))
+    return _signed_permutation(np.searchsorted(codes, new), np.ones(len(codes)))
 
 
 def _neel_reference(n_sites: int, n_up: int) -> tuple[int, int]:
@@ -196,49 +180,31 @@ def _neel_reference(n_sites: int, n_up: int) -> tuple[int, int]:
     return up_mask, dn_mask
 
 
-def eh_operator(basis: BasisTable) -> SignedPermutation:
-    """Electron-hole conjugation (with spin rotation) on a half-filled sector."""
+def _reference_index(basis: BasisTable) -> int:
+    """Position of the covalent reference configuration in a half-filled sector."""
+    return basis.index_of(FermionState(*_neel_reference(basis.n_sites, basis.sector.n_up)))
+
+
+def eh_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
+    """Electron-hole conjugation (with spin rotation) on a half-filled sector
+    of an alternant geometry, as a permutation matrix.
+
+    The map sends (up, dn) to (complement of dn, complement of up).  Its
+    phase is the same for every state, and the covalent reference, which
+    the map leaves in place, fixes it to +1, so every entry is +1.
+    """
+    _check_alternant(geometry)
     if basis.kind != "fermion":
         raise SymmetryError("electron-hole conjugation is only defined for fermionic bases")
-    n = basis.n_sites
-    sec = basis.sector
-    if sec.n_electrons != n:
-        raise SymmetryError(
-            f"electron-hole conjugation needs half filling (N_e = {n}), got N_e = {sec.n_electrons}"
-        )
+    n, n_e = basis.n_sites, basis.sector.n_electrons
+    if n_e != n:
+        raise SymmetryError(f"electron-hole conjugation needs half filling (N_e = {n}), got N_e = {n_e}")
     full = np.uint64((1 << n) - 1)
-    comp_up = basis.up_masks ^ full   # becomes a down mask
-    comp_dn = basis.dn_masks ^ full   # becomes an up mask
-    new_iu = np.searchsorted(basis.up_masks, comp_dn)
-    new_id = np.searchsorted(basis.dn_masks, comp_up)
-    nd = len(basis.dn_masks)
     # state (i_up, i_dn) -> (position of comp(dn), position of comp(up))
-    iu = np.repeat(np.arange(len(basis.up_masks)), nd)
-    idn = np.tile(np.arange(nd), len(basis.up_masks))
-    gperm = new_iu[idn] * nd + new_id[iu]
-
-    n_up, n_dn = sec.n_up, sec.n_dn
-    # particle-hole part: phases (-1)^i on every conjugated operator plus the
-    # annihilator parities against the fully occupied reference; spin-rotation
-    # part: (-1) per original down spin plus the channel-interchange parity.
-    ph = (n_up + n_dn * (1 + n)) % 2
-    rot = ((n - n_dn) + (n - n_up) * (n - n_dn)) % 2
-    eps = -1 if (ph + rot) % 2 else 1
-
-    sign = np.full(basis.dim, eps, dtype=np.int8)
-    op = SignedPermutation(gperm, sign)
-    # fix the global phase: the alternating covalent reference maps to itself
-    # with coefficient +1
-    up_ref, dn_ref = _neel_reference(n, n_up)
-    i_ref = int(np.searchsorted(basis.up_masks, np.uint64(up_ref))) * nd + int(
-        np.searchsorted(basis.dn_masks, np.uint64(dn_ref))
-    )
-    ref_sign = int(op.sign[i_ref]) if op.perm[i_ref] == i_ref else None
-    if ref_sign is None:
-        raise SymmetryError("internal error: covalent reference is not an eh fixed point")
-    if ref_sign < 0:
-        op = SignedPermutation(op.perm, -op.sign)
-    return op
+    new_iu = np.searchsorted(basis.up_masks, basis.dn_masks ^ full)
+    new_id = np.searchsorted(basis.dn_masks, basis.up_masks ^ full)
+    perm = (new_iu[None, :] * len(basis.dn_masks) + new_id[:, None]).reshape(-1)
+    return _signed_permutation(perm, np.ones(basis.dim))
 
 
 def _check_alternant(geometry: Geometry) -> None:
@@ -250,22 +216,13 @@ def _check_alternant(geometry: Geometry) -> None:
             )
 
 
-def apply_c2(vector: np.ndarray, basis: BasisTable, geometry: Geometry) -> np.ndarray:
-    return c2_operator(basis, geometry).apply(np.asarray(vector, dtype=float))
-
-
-def apply_eh(vector: np.ndarray, basis: BasisTable, geometry: Geometry) -> np.ndarray:
-    _check_alternant(geometry)
-    return eh_operator(basis).apply(np.asarray(vector, dtype=float))
-
-
 class Projector:
     """(1 +- C2)(1 +- J)/4 onto one symmetry-adapted subspace of a sector."""
 
     def __init__(
         self,
-        c2: SignedPermutation | None,
-        eh: SignedPermutation | None,
+        c2: sp.csr_matrix | None,
+        eh: sp.csr_matrix | None,
         c2_parity: int,
         eh_parity: int,
         dim: int,
@@ -277,11 +234,12 @@ class Projector:
         self.dim = dim
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """Project a sector vector, or every column of a (dim, k) block."""
         out = v
         if self.eh is not None:
-            out = 0.5 * (out + self.eh_parity * self.eh.apply(out))
+            out = 0.5 * (out + self.eh_parity * (self.eh @ out))
         if self.c2 is not None:
-            out = 0.5 * (out + self.c2_parity * self.c2.apply(out))
+            out = 0.5 * (out + self.c2_parity * (self.c2 @ out))
         return out
 
     def orbit_basis(self, tol: float = 1e-12) -> sp.csr_matrix:
@@ -293,11 +251,13 @@ class Projector:
         column, ordered by that index.
         """
         # group element g: e_i -> s_g[i] e_{p_g[i]}, with the parity character
-        # folded into the sign
+        # folded into the sign; column i of a signed permutation matrix holds
+        # its one entry, sign[i], in row perm[i]
         group = [(np.arange(self.dim), np.ones(self.dim))]
         for op, parity in ((self.c2, self.c2_parity), (self.eh, self.eh_parity)):
             if op is not None:
-                group += [(op.perm[p], s * parity * op.sign[p]) for p, s in group]
+                op = op.tocsc()
+                group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
         perms = np.array([p for p, _ in group])
         signs = np.array([s for _, s in group])
         reps = np.flatnonzero(perms.min(axis=0) == np.arange(self.dim))
@@ -328,26 +288,8 @@ def projector(
         if parity not in (1, -1, None):
             raise SymmetryError(f"{name} parity must be +1, -1 or None, got {parity!r}")
     c2 = c2_operator(basis, geometry) if c2_parity is not None else None
-    eh = None
-    if eh_parity is not None:
-        _check_alternant(geometry)
-        eh = eh_operator(basis)
+    eh = eh_operator(basis, geometry) if eh_parity is not None else None
     return Projector(c2, eh, c2_parity or 0, eh_parity or 0, basis.dim)
-
-
-def project(
-    vector: np.ndarray,
-    basis: BasisTable,
-    geometry: Geometry,
-    c2_parity: int,
-    eh_parity: int,
-) -> np.ndarray:
-    """Apply (1 + a C2)(1 + b J)/4; the zero vector is a legitimate result."""
-    if c2_parity not in (-1, 1) or eh_parity not in (-1, 1):
-        raise SymmetryError("parities must be +1 or -1")
-    return projector(basis, geometry, c2_parity, eh_parity).apply(
-        np.asarray(vector, dtype=float)
-    )
 
 
 # --- total spin ---------------------------------------------------------------
@@ -439,10 +381,8 @@ def classify(
 ) -> SymmetryLabel:
     """Label an eigenstate by C2/eh expectation values and total spin."""
     v = np.asarray(vector, dtype=float)
-    c2v = apply_c2(v, basis, geometry)
-    c2_exp = float(v @ c2v)
-    ehv = apply_eh(v, basis, geometry)
-    eh_exp = float(v @ ehv)
+    c2_exp = float(v @ (c2_operator(basis, geometry) @ v))
+    eh_exp = float(v @ (eh_operator(basis, geometry) @ v))
     for name, val in (("C2", c2_exp), ("electron-hole", eh_exp)):
         if abs(abs(val) - 1.0) > tol:
             raise SymmetryError(f"state is not a {name} eigenstate (<P> = {val:.6f})")

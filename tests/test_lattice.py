@@ -152,6 +152,15 @@ def test_geometry_invariants():
         Geometry(name="bad", coords=np.zeros((2, 3)), bonds=())
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_geometry_rejects_non_finite_coordinates(value):
+    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, value, 0.0]])
+    with pytest.raises(GeometryError, match="site 3 coordinates must be finite"):
+        Geometry(name="bad", coords=coords, bonds=((1, 2), (2, 3)))
+    with pytest.raises(GeometryError, match="finite"):
+        build_chain(3, value)
+
+
 def test_save_load_roundtrip_bit_exact(tmp_path):
     g = build_icosahedron(1.397)
     path = tmp_path / "ico.geom"

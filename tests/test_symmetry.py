@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import brute_permute_sites, masks_of, orbitals_of, sort_parity
 from edkit.basis import FermionState, Sector, SpinState, enumerate_sector
@@ -11,14 +12,11 @@ from edkit.symmetry import (
     MixedSpinError,
     SymmetryError,
     SymmetryLabel,
-    apply_c2,
-    apply_eh,
     c2_operator,
     classify,
     eh_operator,
     format_label,
     parse_label,
-    project,
     projector,
     raising_operator,
     spin_squared,
@@ -46,25 +44,29 @@ def test_c2_matches_site_permutation_oracle(sector):
     # site permutation of every creation operator
     g = build_chain(4)
     b = enumerate_sector(g, "hubbard", sector)
-    op = c2_operator(b, g)
+    op = c2_operator(b, g).tocsc()  # column i: sign[i] in row perm[i]
+    assert np.array_equal(op.indptr, np.arange(b.dim + 1))
     flips = set()
     for i in range(b.dim):
         st = b.state_at(i)
         nu, nd, sign = brute_permute_sites(st.up_mask, st.dn_mask, 4, g.c2_perm)
         j = b.index_of(FermionState(nu, nd))
-        assert op.perm[i] == j
-        flips.add(int(op.sign[i]) * sign)
+        assert op.indices[i] == j
+        flips.add(int(op.data[i]) * sign)
     assert len(flips) == 1  # at most a global phase difference
 
 
-def test_c2_involution(rng):
+def _is_identity(m):
+    """True if the sparse matrix equals the identity entry for entry."""
+    return m.shape[0] == m.shape[1] and (m != sp.identity(m.shape[0], format="csr")).nnz == 0
+
+
+def test_c2_involution():
     g = build_chain(6)
     b = enumerate_sector(g, "hubbard", Sector(6, 0))
-    v = rng.standard_normal((b.dim, 200))
     op = c2_operator(b, g)
-    for k in range(200):
-        w = op.apply(op.apply(v[:, k]))
-        assert np.abs(w - v[:, k]).max() < 1e-14
+    assert sp.isspmatrix_csr(op) and op.shape == (b.dim, b.dim)
+    assert _is_identity(op @ op)
 
 
 def test_c2_symmetric_two_site_state():
@@ -73,7 +75,7 @@ def test_c2_symmetric_two_site_state():
     v = np.zeros(b.dim)
     v[b.index_of(FermionState(0b01, 0b10))] = 1 / np.sqrt(2)
     v[b.index_of(FermionState(0b10, 0b01))] = 1 / np.sqrt(2)
-    assert np.abs(apply_c2(v, b, g) - v).max() < 1e-14
+    assert np.abs(c2_operator(b, g) @ v - v).max() < 1e-14
 
 
 def test_huckel_four_site_ground_state_even():
@@ -81,7 +83,7 @@ def test_huckel_four_site_ground_state_even():
     h = build_model(g, ModelSpec(kind="huckel", t=-1.0), Sector(4, 0))
     eig = dense_spectrum(h)
     v = eig.vectors[:, 0]
-    c2v = apply_c2(v, h.basis, g)
+    c2v = c2_operator(h.basis, g) @ v
     assert float(v @ c2v) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -95,20 +97,21 @@ def test_c2_requires_declared_symmetry():
         c2_operator(b, g)
 
 
-def test_eh_involution_and_unit_amplitude(rng):
+def test_eh_involution_and_unit_amplitude():
     g = build_chain(6)
     b = enumerate_sector(g, "hubbard", Sector(6, 0))
-    op = eh_operator(b)
-    v = rng.standard_normal(b.dim)
-    assert np.abs(op.apply(op.apply(v)) - v).max() < 1e-14
+    op = eh_operator(b, g)
+    assert sp.isspmatrix_csr(op) and op.shape == (b.dim, b.dim)
+    assert _is_identity(op @ op)
+    op = op.tocsc()  # column i: sign[i] in row perm[i]
     # covalent configurations map to covalent configurations with unit weight
     for i in range(b.dim):
         st = b.state_at(i)
         if st.up_mask & st.dn_mask == 0 and st.up_mask | st.dn_mask == 0b111111:
-            j = int(op.perm[i])
+            j = int(op.indices[i])
             tgt = b.state_at(j)
             assert tgt.up_mask & tgt.dn_mask == 0
-            assert abs(int(op.sign[i])) == 1
+            assert abs(int(op.data[i])) == 1
 
 
 def test_eh_neel_reference_maps_plus():
@@ -116,36 +119,38 @@ def test_eh_neel_reference_maps_plus():
         g = build_chain(n)
         for tm in (0, 2):
             b = enumerate_sector(g, "hubbard", Sector(n, tm))
-            op = eh_operator(b)
+            op = eh_operator(b, g).tocsc()
             from edkit.symmetry import _neel_reference
 
             up, dn = _neel_reference(n, b.sector.n_up)
             i = b.index_of(FermionState(up, dn))
-            assert op.perm[i] == i
-            assert op.sign[i] == 1
+            assert op.indices[i] == i
+            assert op.data[i] == 1
 
 
 def test_eh_requires_half_filling_and_alternancy():
     g = build_chain(4)
     b = enumerate_sector(g, "hubbard", Sector(2, 0))
     with pytest.raises(SymmetryError):
-        eh_operator(b)
+        eh_operator(b, g)
     ico = build_icosahedron()
     bi = enumerate_sector(ico, "ppp", Sector(12, 0))
     with pytest.raises(SymmetryError):
-        apply_eh(np.zeros(bi.dim), bi, ico)
+        eh_operator(bi, ico)
 
 
-def test_eh_commutes_with_half_filled_models(rng):
+def _commutator_norm(a, b):
+    """Frobenius norm of AB - BA, an upper bound on its operator norm."""
+    return spla.norm(a @ b - b @ a)
+
+
+def test_eh_commutes_with_half_filled_models():
     g = build_chain(6)
     for spec in (ModelSpec(kind="hubbard", t=-1.0, U=4.0), ModelSpec(kind="ppp", t=-2.4, U=11.26)):
         h = build_model(g, spec, Sector(6, 0))
-        op = eh_operator(h.basis)
+        op = eh_operator(h.basis, g)
         scale = np.abs(h.matrix).max()
-        for _ in range(20):
-            v = rng.standard_normal(h.dim)
-            comm = h.apply(op.apply(v)) - op.apply(h.apply(v))
-            assert np.linalg.norm(comm) <= 1e-10 * scale * np.linalg.norm(v)
+        assert _commutator_norm(h.matrix, op) <= 1e-10 * scale
 
 
 def test_projector_algebra(rng):
@@ -155,18 +160,23 @@ def test_projector_algebra(rng):
     parts = {}
     for a in (1, -1):
         for e in (1, -1):
-            parts[(a, e)] = project(v, b, g, a, e)
+            parts[(a, e)] = projector(b, g, a, e).apply(v)
     # resolution of identity
     assert np.abs(sum(parts.values()) - v).max() < 1e-13
     for key, pv in parts.items():
-        again = project(pv, b, g, *key)
+        again = projector(b, g, *key).apply(pv)
         assert np.abs(again - pv).max() < 1e-13  # idempotent
         for other, qv in parts.items():
             if other != key:
                 assert abs(float(pv @ qv)) < 1e-13  # mutually orthogonal
 
 
-def test_projector_commutes_with_models(rng):
+def _projector_matrix(proj):
+    """P as a sparse matrix: the projector applied to the identity."""
+    return proj.apply(sp.identity(proj.dim, format="csr"))
+
+
+def test_projector_commutes_with_models():
     g = build_chain(6)
     specs = [
         ModelSpec(kind="huckel", t=-1.0),
@@ -175,18 +185,24 @@ def test_projector_commutes_with_models(rng):
     ]
     for spec in specs:
         h = build_model(g, spec, Sector(6, 0))
-        proj = projector(h.basis, g, 1, 1)
+        pm = _projector_matrix(projector(h.basis, g, 1, 1))
         scale = max(1.0, float(np.abs(h.matrix).max()))
-        for _ in range(10):
-            x = rng.standard_normal(h.dim)
-            drift = h.apply(proj.apply(x)) - proj.apply(h.apply(x))
-            assert np.linalg.norm(drift) <= 1e-10 * scale * np.linalg.norm(x)
+        assert _commutator_norm(h.matrix, pm) <= 1e-10 * scale
     hs = build_model(g, ModelSpec(kind="heisenberg"), Sector(None, 0))
-    proj = projector(hs.basis, g, -1, None)
-    for _ in range(10):
-        x = rng.standard_normal(hs.dim)
-        drift = hs.apply(proj.apply(x)) - proj.apply(hs.apply(x))
-        assert np.linalg.norm(drift) <= 1e-10 * np.linalg.norm(x)
+    pm = _projector_matrix(projector(hs.basis, g, -1, None))
+    assert _commutator_norm(hs.matrix, pm) <= 1e-10
+
+
+def test_projector_block_apply_matches_columns(rng):
+    # the drift check of lowest_in_label projects a whole (dim, k) block
+    g = build_chain(6)
+    for sector, eh in ((Sector(6, 0), 1), (Sector(6, 2), -1)):
+        b = enumerate_sector(g, "hubbard", sector)
+        for c2 in (1, -1):
+            proj = projector(b, g, c2, eh)
+            block = rng.standard_normal((b.dim, 5))
+            columns = np.column_stack([proj.apply(block[:, j]) for j in range(5)])
+            assert np.array_equal(proj.apply(block), columns)
 
 
 def _orbit_basis_loop(proj, tol=1e-12):
@@ -195,7 +211,8 @@ def _orbit_basis_loop(proj, tol=1e-12):
     group = [(np.arange(proj.dim), np.ones(proj.dim))]
     for op, parity in ((proj.c2, proj.c2_parity), (proj.eh, proj.eh_parity)):
         if op is not None:
-            group += [(op.perm[p], s * parity * op.sign[p]) for p, s in group]
+            op = op.tocsc()  # column i: sign[i] in row perm[i]
+            group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
     visited = np.zeros(proj.dim, dtype=bool)
     columns = []
     for i in range(proj.dim):
@@ -252,7 +269,7 @@ def test_total_spin_polarized_and_singlet():
     g2 = build_chain(2)
     b2 = enumerate_sector(g2, "heisenberg", Sector(None, 0))
     h = build_model(g2, ModelSpec(kind="heisenberg"), Sector(None, 0))
-    vals, vecs = np.linalg.eigh(h.dense())
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
     assert total_spin(vecs[:, 0], b2) == 0.0
     assert total_spin(vecs[:, 1], b2) == 1.0
 
@@ -261,7 +278,7 @@ def test_splus_annihilates_highest_weight():
     # the lowest state of the 2M_S = 2 sector has S = M_S
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 2))
-    vals, vecs = np.linalg.eigh(h.dense())
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
     v = vecs[:, 0]
     assert total_spin(v, h.basis) == 1.0
     assert np.linalg.norm(raising_operator(h.basis) @ v) < 1e-10
@@ -323,7 +340,7 @@ def test_spin_ladder_consistency():
     # |S+ v|^2 = S(S+1) - M(M+1) for spin eigenstates
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="heisenberg", site_spin=1.0), Sector(None, 2))
-    vals, vecs = np.linalg.eigh(h.dense())
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
     block = spin_squared(vecs, h.basis)
     for k in range(h.dim):
         s2 = spin_squared(vecs[:, k], h.basis)
@@ -337,25 +354,21 @@ def test_mixed_spin_flagged():
     g = build_chain(2)
     b = enumerate_sector(g, "heisenberg", Sector(None, 0))
     h = build_model(g, ModelSpec(kind="heisenberg"), Sector(None, 0))
-    vals, vecs = np.linalg.eigh(h.dense())
+    vals, vecs = np.linalg.eigh(h.matrix.toarray())
     mixed = (vecs[:, 0] + vecs[:, 1]) / np.sqrt(2)
     with pytest.raises(MixedSpinError):
         total_spin(mixed, b)
 
 
-def test_icosahedron_c2_commutes_with_ppp(rng):
+def test_icosahedron_c2_commutes_with_ppp():
     # highly polarized sector keeps the dimension small (144)
     ico = build_icosahedron()
     h = build_model(ico, ModelSpec(kind="ppp", t=-2.4, U=11.26), Sector(12, 10))
     assert h.dim == 144
     op = c2_operator(h.basis, ico)
     scale = np.abs(h.matrix).max()
-    for _ in range(20):
-        v = rng.standard_normal(h.dim)
-        comm = h.apply(op.apply(v)) - op.apply(h.apply(v))
-        assert np.linalg.norm(comm) <= 1e-10 * scale * np.linalg.norm(v)
-        w = op.apply(op.apply(v))
-        assert np.abs(w - v).max() < 1e-14
+    assert _commutator_norm(h.matrix, op) <= 1e-10 * scale
+    assert _is_identity(op @ op)
 
 
 def test_classify_six_site_ppp_ground_state():
