@@ -13,12 +13,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basis import BasisTable, Sector, bipartite_factorize
-from .entanglement import schmidt_spectrum
+from .entanglement import degenerate_average, schmidt_spectrum
 from .hamiltonian import ModelSpec, build_model
 from .lattice import Bipartition, Geometry, build_chain, half_cut
 from .solver import (
-    DENSE_CAP_DEFAULT,
+    DegenerateManifold,
     EigenSet,
+    _degenerate_ranges,
     dense_subspace_spectrum,
     lanczos_lowest,
     lowest_in_label,
@@ -90,7 +91,10 @@ def _energy_bins(energies: np.ndarray, bin_width: float) -> tuple[float, np.ndar
     if bin_width <= 0:
         raise AnalysisError(f"bin width must be positive, got {bin_width}")
     e_min = float(energies.min())
-    return e_min, np.floor((energies - e_min) / bin_width).astype(np.int64)
+    q = np.floor((energies - e_min) / bin_width)
+    if not q.max() < 2.0**63:  # also catches inf and nan
+        raise AnalysisError(f"bin width {bin_width!r} is too small: a bin index does not fit int64")
+    return e_min, q.astype(np.int64)
 
 
 def _bin_means(
@@ -145,10 +149,12 @@ def _paper_smoothing_groups(n: int) -> list[list[int]]:
 
 
 def _state_entropies(eigenset: EigenSet, basis: BasisTable, bipartition: Bipartition) -> np.ndarray:
+    """Per-state entropies; the members of a degenerate manifold share its averaged-RDM entropy."""
     index = bipartite_factorize(basis, bipartition)
     out = np.empty(eigenset.k)
-    for i in range(eigenset.k):
-        out[i] = schmidt_spectrum(eigenset.vectors[:, i], basis, index).total_entropy
+    for i, j in _degenerate_ranges(eigenset.values, 1e-9):
+        manifold = DegenerateManifold(float(eigenset.values[i]), eigenset.vectors[:, i:j])
+        out[i:j] = degenerate_average(manifold, basis, index).total_entropy
     return out
 
 
@@ -166,9 +172,9 @@ def entropy_profile(
     otherwise falls back to "none" with a warning); "energy_bin" averages
     the entropy inside successive energy windows of `bin_width`.
 
-    Inside a degenerate manifold the per-state entropy depends on the basis
-    that the eigensolver and the S^2 rotation return; the basis-independent
-    quantity is `entanglement.degenerate_average`.
+    Each member of a degenerate manifold (energies within a relative 1e-9)
+    carries the manifold-averaged RDM entropy, `degenerate_average`, so the
+    profile does not depend on the basis the eigensolver returns.
     """
     energies = eigenset.values
     entropies = _state_entropies(eigenset, basis, bipartition)
@@ -321,13 +327,12 @@ def subspace_spectrum(
     c2_parity: int,
     eh_parity: int | None,
     spin: float | None = None,
-    cap: int = DENSE_CAP_DEFAULT,
 ) -> tuple[EigenSet, BasisTable]:
     """Dense full spectrum of one symmetry-adapted subspace of the
     half-filled (or spin-model) sector at 2M_S = twice_ms; see
     `dense_subspace_spectrum`."""
     h = build_model(geometry, spec, _default_sector(geometry, spec, twice_ms))
-    return dense_subspace_spectrum(h, c2_parity, eh_parity, spin=spin, cap=cap), h.basis
+    return dense_subspace_spectrum(h, c2_parity, eh_parity, spin=spin), h.basis
 
 
 def spearman_rank(x: Sequence[float], y: Sequence[float]) -> float:

@@ -180,8 +180,9 @@ def _check_header(path, header) -> None:
         isinstance(labels, list) and len(labels) == k and all(isinstance(x, str) for x in labels)
     )):
         raise ArchiveError(f"{path}: header 'labels' must be null or a list of {k} strings")
-    if not _is_number(header.get("tol")):
-        raise ArchiveError(f"{path}: header 'tol' must be a number, got {header.get('tol')!r}")
+    tol = header.get("tol")
+    if not (_is_number(tol) and 0 < tol < np.inf):
+        raise ArchiveError(f"{path}: header 'tol' must be a positive finite number, got {tol!r}")
     if type(header.get("seed")) is not int:
         raise ArchiveError(f"{path}: header 'seed' must be an integer, got {header.get('seed')!r}")
 

@@ -185,10 +185,6 @@ class BasisTable:
             return len(self.up_masks) * len(self.dn_masks)
         return len(self.spin_codes)
 
-    @property
-    def n_digits(self) -> int:
-        return self.twice_site_spin + 1
-
     def state_at(self, index: int) -> FermionState | SpinState:
         if not 0 <= index < self.dim:
             raise IndexError(f"state index {index} outside 0..{self.dim - 1}")

@@ -353,6 +353,9 @@ def _verify_checks(arch: Archive, tol: float):
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not 0 < args.tol < np.inf:
+        print(f"--tol must be a positive finite number, got {args.tol!r}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         arch = read_archive(args.archive)
         print(f"PASS checksum: payload intact ({arch.header['payload_bytes']} bytes)")

@@ -2,9 +2,12 @@
 
 Because electron count and z-spin are additive across a cut, the
 coefficient matrix of a sector state is block diagonal over left-block
-sectors.  Each block is factorized by singular values (the reduced density
-matrix itself is never formed for pure states), which keeps eigenvalues
-accurate down to the 1e-16 floor.  All entropies are in bits.
+sectors.  One path serves single states and degenerate manifolds: for the
+g orthonormal vectors of a manifold, the block of the averaged RDM is
+(1/g) sum_i C_i C_i^T = M M^T / g with M = [C_1 ... C_g], so its
+eigenvalues are the squared singular values of M over g.  No reduced
+density matrix is formed, neither for states nor for manifolds, which keeps
+eigenvalues accurate down to the 1e-16 floor.  All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -98,15 +101,6 @@ class RDMSpectrum:
         return rows
 
 
-def _clean_weights(raw: np.ndarray) -> np.ndarray:
-    w = np.asarray(raw, dtype=float)
-    if w.size and float(w.min()) < -1e-12:
-        raise EntanglementError(f"negative RDM eigenvalue {w.min():.3e} below tolerance")
-    w = np.clip(w, 0.0, None)
-    w = w[w >= WEIGHT_FLOOR]
-    return np.sort(w)[::-1]
-
-
 def _fock_dims(basis: BasisTable, bipartition: Bipartition) -> tuple[int, int]:
     per_site = 4 if basis.kind == "fermion" else basis.twice_site_spin + 1
     return per_site ** len(bipartition.left), per_site ** len(bipartition.right)
@@ -123,17 +117,38 @@ def _resolve_index(
     return bipartite_factorize(basis, cut)
 
 
-def _check_normalized(vector: np.ndarray) -> np.ndarray:
-    v = np.asarray(vector, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise EntanglementError(f"input vector is not normalized (|v| = {np.linalg.norm(v)!r})")
-    return v
+def _coefficient_block(vectors: np.ndarray, block) -> np.ndarray:
+    """M = [C_1 ... C_g]: the block's coefficient matrix of each column of
+    the (dim, g) `vectors`, side by side."""
+    g = vectors.shape[1]
+    c = np.zeros((block.left_dim, g, block.right_dim))
+    c[block.row, :, block.col] = block.sign[:, None] * vectors[block.global_index]
+    return c.reshape(block.left_dim, g * block.right_dim)
 
 
-def _coefficient_block(vector: np.ndarray, block) -> np.ndarray:
-    c = np.zeros((block.left_dim, block.right_dim))
-    c[block.row, block.col] = block.sign * vector[block.global_index]
-    return c
+def _averaged_spectrum(
+    vectors: np.ndarray,
+    basis: BasisTable,
+    cut: Bipartition | BipartiteIndex,
+) -> RDMSpectrum:
+    """Spectrum of (1/g) sum_i rho_i over the g orthonormal columns of
+    `vectors`: the squared singular values of every block's M, over g."""
+    g = vectors.shape[1]
+    norms = np.linalg.norm(vectors, axis=0)
+    bad = np.abs(norms - 1.0) > 1e-10
+    if bad.any():
+        raise EntanglementError(f"input vector is not normalized (|v| = {norms[bad][0]!r})")
+    index = _resolve_index(basis, cut)
+    sectors = []
+    for block in index.blocks:
+        m = _coefficient_block(vectors, block)
+        sigma = sla.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
+        w = sigma * sigma / g  # descending, as LAPACK returns sigma
+        w = w[w >= WEIGHT_FLOOR]
+        if w.size:
+            sectors.append(SectorSpectrum(block.twice_ms_left, block.n_left, w))
+    lf, rf = _fock_dims(basis, index.bipartition)
+    return RDMSpectrum(sectors=tuple(sectors), left_fock_dim=lf, right_fock_dim=rf)
 
 
 def schmidt_spectrum(
@@ -142,17 +157,7 @@ def schmidt_spectrum(
     cut: Bipartition | BipartiteIndex,
 ) -> RDMSpectrum:
     """Left-block RDM eigenvalues of a normalized sector state, by sector."""
-    v = _check_normalized(vector)
-    index = _resolve_index(basis, cut)
-    sectors = []
-    for block in index.blocks:
-        c = _coefficient_block(v, block)
-        sigma = sla.svd(c, compute_uv=False) if min(c.shape) else np.zeros(0)
-        w = _clean_weights(sigma * sigma)
-        if w.size:
-            sectors.append(SectorSpectrum(block.twice_ms_left, block.n_left, w))
-    lf, rf = _fock_dims(basis, index.bipartition)
-    return RDMSpectrum(sectors=tuple(sectors), left_fock_dim=lf, right_fock_dim=rf)
+    return _averaged_spectrum(np.asarray(vector, dtype=float)[:, None], basis, cut)
 
 
 def entropy_both_sides(
@@ -196,23 +201,9 @@ def degenerate_average(
     rho_av = (1/g) sum_i rho_i is invariant under orthonormal re-mixing of
     the manifold, unlike the per-state spectra.
     """
-    g = manifold.multiplicity
-    if g == 0:
+    if manifold.multiplicity == 0:
         raise EntanglementError("empty degenerate manifold")
-    index = _resolve_index(basis, cut)
-    members = [_check_normalized(manifold.vectors[:, i]) for i in range(g)]
-    sectors = []
-    for block in index.blocks:
-        rho = np.zeros((block.left_dim, block.left_dim))
-        for v in members:
-            c = _coefficient_block(v, block)
-            rho += c @ c.T
-        rho /= g
-        w = _clean_weights(sla.eigvalsh(rho)) if block.left_dim else np.zeros(0)
-        if w.size:
-            sectors.append(SectorSpectrum(block.twice_ms_left, block.n_left, w))
-    lf, rf = _fock_dims(basis, index.bipartition)
-    return RDMSpectrum(sectors=tuple(sectors), left_fock_dim=lf, right_fock_dim=rf)
+    return _averaged_spectrum(np.asarray(manifold.vectors, dtype=float), basis, cut)
 
 
 def free_fermion_oracle(

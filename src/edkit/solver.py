@@ -199,7 +199,6 @@ def dense_subspace_spectrum(
     c2_parity: int | None,
     eh_parity: int | None,
     spin: float | None = None,
-    cap: int = DENSE_CAP_DEFAULT,
 ) -> EigenSet:
     """Full spectrum of one (C2, eh) symmetry block of the operator's sector.
 
@@ -211,8 +210,8 @@ def dense_subspace_spectrum(
     name = f"(C2 {c2_parity}, eh {eh_parity})"
     _, q = _symmetry_subspace(operator, c2_parity, eh_parity, name)
     m = q.shape[1]
-    if m > cap:
-        raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {cap}")
+    if m > DENSE_CAP_DEFAULT:
+        raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
     vals, y = sla.eigh(_restrict(operator, q).toarray())
     vecs = _canonical_sign(q @ y)
     res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
@@ -380,7 +379,6 @@ def lowest_in_label(
     k: int = 1,
     tol: float = 1e-10,
     seed: int = 1,
-    max_basis: int = 200,
 ) -> EigenSet:
     """Lowest k eigenstates carrying a (C2, eh, S) label.
 
@@ -404,7 +402,7 @@ def lowest_in_label(
     solve_k = k + 3
     cap = min(m, k + 40)
     while True:
-        sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed, max_basis=max_basis)
+        sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed)
         eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
         eig = sharpen_spin(eig, basis)
         sel = _select_spin(eig, basis, label.total_spin, limit=k)

@@ -18,10 +18,10 @@ from edkit.analysis import (
     sweep_ground_state,
 )
 from edkit.basis import Sector
-from edkit.entanglement import schmidt_spectrum
+from edkit.entanglement import degenerate_average, schmidt_spectrum
 from edkit.hamiltonian import ModelSpec, build_model
-from edkit.lattice import build_chain, half_cut
-from edkit.solver import dense_spectrum
+from edkit.lattice import build_chain, build_icosahedron, half_cut
+from edkit.solver import EigenSet, dense_spectrum, group_degenerate
 
 
 def test_dos_histogram_examples():
@@ -37,6 +37,11 @@ def test_dos_histogram_examples():
         dos_histogram([1.0], bin_width=0.0)
     with pytest.raises(AnalysisError):
         dos_histogram([])
+
+
+def test_dos_histogram_rejects_bin_index_overflow():
+    with pytest.raises(AnalysisError, match="bin width 1e-300 is too small"):
+        dos_histogram([0.0, 1.0], 1e-300)
 
 
 def test_profile_validation():
@@ -196,3 +201,51 @@ def test_profile_dome_shape_eight_site_subspace():
     head = prof.y[: n // 5].mean()
     tail = prof.y[-n // 5 :].mean()
     assert middle > head and middle > tail
+
+
+@pytest.mark.filterwarnings("ignore:paper smoothing needs")
+@pytest.mark.parametrize("block", ["icosahedron C2+ S=0", "hubbard8 1Ag+"])
+def test_profiles_do_not_depend_on_manifold_basis(block):
+    if block.startswith("icosahedron"):
+        g = build_icosahedron()
+        spec = ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5)
+        eig, basis = subspace_spectrum(g, spec, 0, 1, None, spin=0.0)
+        cut = half_cut(g, 6)
+    else:
+        g = build_chain(8)
+        spec = ModelSpec(kind="hubbard", t=-1.0, U=4.0)
+        eig, basis = subspace_spectrum(g, spec, 0, 1, 1, spin=0.0)
+        cut = half_cut(g, 4)
+    manifolds = group_degenerate(eig)
+    assert any(m.multiplicity > 1 for m in manifolds)
+    rng = np.random.default_rng(2011)
+    rotated = []
+    for m in manifolds:
+        q, _r = np.linalg.qr(rng.standard_normal((m.multiplicity, m.multiplicity)))
+        rotated.append(m.vectors @ q)
+    remixed = EigenSet(values=eig.values, vectors=np.hstack(rotated), residuals=eig.residuals)
+
+    profiles = {}
+    for smoothing in ("none", "paper", "energy_bin"):
+        ref = profiles[smoothing] = entropy_profile(eig, basis, cut, smoothing=smoothing)
+        got = entropy_profile(remixed, basis, cut, smoothing=smoothing)
+        assert np.array_equal(got.x, ref.x)
+        assert np.abs(got.y - ref.y).max() <= 1e-12, smoothing
+    ref = entropy_vs_logdos(eig, basis, cut)
+    got = entropy_vs_logdos(remixed, basis, cut)
+    assert np.array_equal(got.log2_dos, ref.log2_dos)
+    assert np.abs(got.mean_entropy - ref.mean_entropy).max() <= 1e-12
+    assert got.spearman == ref.spearman
+
+    # a state alone in its manifold keeps its own Schmidt entropy, bit for bit;
+    # every member of a larger manifold carries the manifold average
+    raw = profiles["none"].y
+    start = 0
+    for m in manifolds:
+        stop = start + m.multiplicity
+        if m.multiplicity == 1:
+            want = schmidt_spectrum(eig.vectors[:, start], basis, cut).total_entropy
+        else:
+            want = degenerate_average(m, basis, cut).total_entropy
+        assert np.all(raw[start:stop] == want)
+        start = stop

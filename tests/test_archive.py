@@ -113,6 +113,11 @@ _UNOPENABLE = object()
         # no archive file to open: the edit moves the path instead
         pytest.param(_UNOPENABLE, "No such file or directory", id="missing-path"),
         pytest.param(_UNOPENABLE, "Is a directory", id="directory-path"),
+        # Python's json reads Infinity and NaN
+        pytest.param(lambda h: h.update(tol=float("inf")), "tol", id="tol-inf"),
+        pytest.param(lambda h: h.update(tol=float("nan")), "tol", id="tol-nan"),
+        pytest.param(lambda h: h.update(tol=0), "tol", id="tol-zero"),
+        pytest.param(lambda h: h.update(tol=-1e-10), "tol", id="tol-negative"),
     ],
 )
 def test_verify_rejects_malformed_header(solved, capsys, edit, field):
@@ -144,3 +149,10 @@ def test_verify_rejects_malformed_header(solved, capsys, edit, field):
         assert f"validation error: {reason}" in capsys.readouterr().err
     else:  # the config check finds a missing archive first
         assert f"config error: input archive {path} does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_verify_tol_must_be_positive_finite(solved, capsys, value):
+    path, *_ = solved
+    assert main(["verify", str(path), "--tol", value]) == 2
+    assert f"--tol must be a positive finite number, got {float(value)!r}" in capsys.readouterr().err

@@ -261,6 +261,16 @@ def test_non_finite_number_exit_2(tmp_path, capsys, task, section, key, value):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["profile", "dos"])
+def test_bin_index_overflow_exit_2(tmp_path, capsys, task):
+    text = NONFINITE_CFG.format(task=task, out=tmp_path / "out", bond_length="1.397",
+                                tol="1e-10", bin_width="1e-300")
+    text = text.replace("kind = ppp\nt = -2.4\nU = 11.26", "kind = hubbard\nt = -1.0\nU = 4.0")
+    cfg = _write(tmp_path, "overflow.cfg", text)
+    assert main(["run", str(cfg)]) == 2
+    assert "bin width 1e-300 is too small" in capsys.readouterr().err
+
+
 def test_entangle_from_archive_needs_no_model_block(tmp_path):
     cfg = _write(tmp_path, "solve.cfg", SOLVE_CFG.format(out=tmp_path / "out"))
     main(["run", str(cfg)])

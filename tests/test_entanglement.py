@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edkit.basis import Sector, enumerate_sector
+from edkit.basis import Sector, bipartite_factorize, enumerate_sector
 from edkit.entanglement import (
     DegenerateFermiLevelError,
     EntanglementError,
@@ -13,7 +13,7 @@ from edkit.entanglement import (
     schmidt_spectrum,
 )
 from edkit.hamiltonian import ModelSpec, build_model
-from edkit.lattice import Bipartition, Geometry, build_chain, half_cut
+from edkit.lattice import Bipartition, Geometry, build_chain, build_icosahedron, half_cut
 from edkit.solver import DegenerateManifold, dense_spectrum, group_degenerate, lanczos_lowest
 
 
@@ -173,6 +173,34 @@ def test_degenerate_average_rotation_invariance(rng):
         assert abs(s_rot - s_ref) < 1e-10
     with pytest.raises(EntanglementError):
         degenerate_average(DegenerateManifold(0.0, np.zeros((h.dim, 0))), h.basis, cut)
+
+
+def test_degenerate_average_matches_explicit_rdm_oracle():
+    # the acceptance-6 manifold: the first of multiplicity >= 3 among the 12
+    # lowest icosahedron Heisenberg states
+    ico = build_icosahedron()
+    h = build_model(ico, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0))
+    man = next(m for m in group_degenerate(lanczos_lowest(h, k=12, tol=1e-10, seed=1))
+               if m.multiplicity >= 3)
+    index = bipartite_factorize(h.basis, half_cut(ico, 6))
+    spec = degenerate_average(man, h.basis, index)
+    got = {(s.twice_ms_left, s.n_left): s.weights[s.weights >= 1e-12] for s in spec.sectors}
+    oracle_weights = []
+    for block in index.blocks:
+        rho = np.zeros((block.left_dim, block.left_dim))
+        for i in range(man.multiplicity):
+            c = np.zeros((block.left_dim, block.right_dim))
+            c[block.row, block.col] = block.sign * man.vectors[block.global_index, i]
+            rho += c @ c.T
+        w = np.linalg.eigvalsh(rho / man.multiplicity)[::-1]
+        w = w[w >= 1e-12]
+        oracle_weights.append(w)
+        key = (block.twice_ms_left, block.n_left)
+        if w.size or key in got:
+            assert got[key].shape == w.shape
+            assert np.abs(got[key] - w).max() <= 1e-12
+    oracle = np.concatenate(oracle_weights)
+    assert spec.total_entropy == pytest.approx(entropy_bits(oracle), abs=1e-12)
 
 
 def test_free_fermion_two_site_consistency():
