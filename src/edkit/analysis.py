@@ -41,6 +41,7 @@ __all__ = [
     "labeled_state",
     "subspace_spectrum",
     "DEFAULT_EXCITED_TARGETS",
+    "MAX_DOS_BINS",
 ]
 
 # Default excited-state series: (series name, solved label, ordinal k);
@@ -51,6 +52,12 @@ DEFAULT_EXCITED_TARGETS = (
     ("1_Bu-", "1_Bu-", 1),
     ("3_Bu+", "3_Bu+", 1),
 )
+
+
+# Largest DoS histogram `dos_histogram` writes; it stores every empty bin
+MAX_DOS_BINS = 1_000_000
+
+SMOOTHING_MODES = ("none", "paper", "energy_bin")
 
 
 class AnalysisError(ValueError):
@@ -112,6 +119,11 @@ def dos_histogram(eigenvalues: Sequence[float], bin_width: float = 0.5) -> Profi
     if ev.size == 0:
         raise AnalysisError("empty eigenvalue list")
     e_min, idx = _energy_bins(ev, bin_width)
+    n_bins = int(idx.max()) + 1  # floor((E_max - E_min) / w) + 1
+    if n_bins > MAX_DOS_BINS:
+        raise AnalysisError(
+            f"bin width {bin_width!r} would need {n_bins} DoS bins, more than {MAX_DOS_BINS}"
+        )
     counts = np.bincount(idx)
     centers = e_min + (np.arange(len(counts)) + 0.5) * bin_width
     return Profile(

@@ -1,4 +1,5 @@
-"""Sector-restricted many-body bases and their bipartite factorization.
+"""Sector bases, the state encoding and its ladder operators, and bipartite
+factorization.
 
 Fermionic configurations are bit-coded with one up-spin and one down-spin
 mask per state.  The canonical operator ordering is "all up-spin creation
@@ -8,8 +9,11 @@ that single convention.  Spin configurations are digit strings, one digit
 0..2s per site, packed two bits per site.
 
 State ordering within a sector is lexicographic on (up_mask, dn_mask) for
-fermions and ascending on the packed code for spins, which makes every
-basis table a deterministic archive.
+fermions, the Kronecker layout of the two channels, and ascending on the
+packed code for spins, which makes every basis table a deterministic
+archive.  Two ladder primitives, CSR maps between neighbouring state lists,
+carry the encoding to the other modules: `_annihilator` (c_i on one fermion
+channel with its Jordan-Wigner sign) and `_raiser` (S+_i on spin codes).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import Bipartition, Geometry, GeometryError
 
@@ -141,23 +146,50 @@ def _spin_codes(n_sites: int, n_digits: int, twice_ms: int, twice_spin: int) -> 
     target = (twice_ms + n_sites * twice_spin) // 2  # sum of digits
     if (twice_ms + n_sites * twice_spin) % 2 != 0 or not 0 <= target <= n_sites * (n_digits - 1):
         return np.zeros(0, dtype=np.uint64)
-    codes: list[int] = []
+    codes = np.zeros(1, dtype=np.uint64)
+    sums = np.zeros(1, dtype=np.int64)
+    for site in range(n_sites):
+        # extend every prefix by each digit, keeping those the remaining
+        # sites can still complete to the target sum
+        codes = np.concatenate([codes | np.uint64(d << (2 * site)) for d in range(n_digits)])
+        sums = np.concatenate([sums + d for d in range(n_digits)])
+        rest = target - sums
+        keep = (rest >= 0) & (rest <= (n_sites - site - 1) * (n_digits - 1))
+        codes, sums = codes[keep], sums[keep]
+    codes.sort()
+    codes.flags.writeable = False
+    return codes
 
-    def rec(site: int, code: int, remaining: int) -> None:
-        if site == n_sites:
-            if remaining == 0:
-                codes.append(code)
-            return
-        left = n_sites - site - 1
-        for d in range(n_digits):
-            r = remaining - d
-            if 0 <= r <= left * (n_digits - 1):
-                rec(site + 1, code | (d << (2 * site)), r)
 
-    rec(0, 0, target)
-    arr = np.array(sorted(codes), dtype=np.uint64)
-    arr.flags.writeable = False
-    return arr
+def _annihilator(masks: np.ndarray, lowered: np.ndarray, site: int) -> sp.csr_matrix:
+    """c_site (0-based) on one fermion channel, as a CSR map from `masks` to
+    `lowered`, the list with one particle fewer.  The Jordan-Wigner sign is
+    the parity of the occupied sites below `site`."""
+    bit = np.uint64(1 << site)
+    src = np.flatnonzero(masks & bit)
+    below = np.bitwise_count(masks[src] & np.uint64((1 << site) - 1))
+    sign = np.where(below % 2 == 0, 1.0, -1.0)
+    tgt = np.searchsorted(lowered, masks[src] ^ bit)
+    return sp.csr_matrix((sign, (tgt, src)), shape=(len(lowered), len(masks)))
+
+
+def _raiser(codes: np.ndarray, raised: np.ndarray, site: int, twice: int) -> sp.csr_matrix:
+    """S+_site (0-based) on spin codes of site spin twice/2, as a CSR map from
+    `codes` to `raised`, the list with 2M_S two higher.  Each entry holds the
+    squared factor (2s - d)(d + 1) of the raised digit d, so products of
+    raisers stay exact integers until one square root is taken."""
+    shift = np.uint64(2 * site)
+    d = ((codes >> shift) & np.uint64(3)).astype(np.int64)
+    src = np.flatnonzero(d < twice)
+    factor = ((twice - d[src]) * (d[src] + 1)).astype(np.float64)
+    tgt = np.searchsorted(raised, codes[src] + (np.uint64(1) << shift))
+    return sp.csr_matrix((factor, (tgt, src)), shape=(len(raised), len(codes)))
+
+
+def _occupancy(masks: np.ndarray, n_sites: int) -> np.ndarray:
+    """(len(masks), n_sites) float matrix of one channel's site occupations."""
+    shifts = np.arange(n_sites, dtype=np.uint64)[None, :]
+    return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
 
 
 def _twice_site_spin(model_kind: str, site_spin: float) -> int:

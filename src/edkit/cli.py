@@ -388,6 +388,9 @@ def cmd_geometry_emit(args) -> int:
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print(_OUT_OF_MEMORY, file=sys.stderr)
+        return EXIT_NUMERICAL
     text = format_geometry(g)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

@@ -33,9 +33,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analysis import SMOOTHING_MODES
 from .basis import Sector, check_site_limit
 from .hamiltonian import ModelSpec
-from .lattice import Geometry, build_chain, build_icosahedron, load_geometry
+from .lattice import Geometry, build_chain, build_icosahedron, half_cut, load_geometry
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "TASKS"]
 
@@ -229,7 +230,16 @@ def _validate(cfg: RunConfig) -> None:
     if task in ("sector-table", "histogram") or entangle_from_archive:
         cfg.archive_path()
     if task in ("sector-table", "histogram", "entangle", "profile", "dos"):
-        cfg._get_int("entangle", "left_size", required=True)
+        left = cfg._get_int("entangle", "left_size", required=True)
+        if needs_solve_blocks:
+            half_cut(geometry, left)  # GeometryError outside 1..n_sites - 1
+    if task in ("profile", "dos"):
+        smoothing = cfg._get("profile", "smoothing", default="none")
+        if task == "profile" and smoothing not in SMOOTHING_MODES:
+            raise ConfigError(f"[profile] smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
+        bin_width = cfg._get_float("profile", "bin_width", default=0.5)
+        if bin_width <= 0:
+            raise ConfigError(f"[profile] bin_width must be positive, got {bin_width}")
     if task == "sweep":
         model = cfg.model()
         mode = cfg._get("sweep", "mode", required=True)

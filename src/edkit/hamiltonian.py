@@ -10,9 +10,11 @@ with V_ij from the Ohno interpolation of the on-site repulsion and the
 inter-site distance.  Energies are in eV, distances in Angstrom.  The spin
 model is H = J sum_{<ij>} S_i . S_j with site spin 1/2 or 1.
 
-Operators are assembled once into sparse matrices; the up and down hopping
-channels act on independent mask lists, so the sector matrix is a Kronecker
-sum plus a diagonal.
+Operators are sparse algebra on the ladder primitives of the basis module.
+One fermion channel hops with T = Cᵀ (B ⊗ I) C (C: every site's annihilator
+stacked, B: the -t bond matrix), and H = T_up ⊗ I + I ⊗ T_dn + D with D the
+U and PPP diagonal.  Spin flip-flops are (J/2) sqrt(R (B ⊗ I) Rᵀ), with R
+the raisers from the 2M_S - 2 sector side by side and B the bond adjacency.
 """
 
 from __future__ import annotations
@@ -23,7 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisTable, Sector, enumerate_sector, is_fermionic_kind
+from .basis import (
+    BasisTable,
+    Sector,
+    _annihilator,
+    _masks_with_popcount,
+    _occupancy,
+    _raiser,
+    _spin_codes,
+    enumerate_sector,
+    is_fermionic_kind,
+)
 from .lattice import Geometry
 
 __all__ = [
@@ -118,58 +130,33 @@ class SparseOperator:
         )
 
 
-def _hop_bit_masks(masks: np.ndarray, n_sites: int, a: int, b: int) -> tuple[np.ndarray, ...]:
-    """Matrix elements of c+_b c_a on one spin channel's mask list.
-
-    Returns (source rows, target rows, signs); the fermionic sign counts the
-    occupied sites strictly between a and b in the canonical ordering.
-    """
-    lo, hi = (a, b) if a < b else (b, a)
-    between = np.uint64(((1 << (hi - 1)) - 1) ^ ((1 << lo) - 1))
-    bit_a = np.uint64(1 << (a - 1))
-    bit_b = np.uint64(1 << (b - 1))
-    ok = ((masks & bit_a) != 0) & ((masks & bit_b) == 0)
-    src = np.flatnonzero(ok)
-    new = (masks[src] ^ bit_a) | bit_b
-    tgt = np.searchsorted(masks, new)
-    par = np.bitwise_count(masks[src] & between).astype(np.int64)
-    sign = np.where(par % 2 == 0, 1.0, -1.0)
-    return src, tgt, sign
+def _bond_matrix(geometry: Geometry, value: float) -> sp.csr_matrix:
+    """The symmetric n_sites x n_sites matrix with `value` on every bond."""
+    i, j = np.array(geometry.bonds, dtype=np.int64).reshape(-1, 2).T - 1
+    n = geometry.n_sites
+    return sp.csr_matrix((np.full(2 * len(i), value), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
-def _channel_hopping(masks: np.ndarray, geometry: Geometry, t: float) -> sp.csr_matrix:
-    n = len(masks)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for a, b in geometry.bonds:
-        for src_site, dst_site in ((a, b), (b, a)):
-            src, tgt, sign = _hop_bit_masks(masks, geometry.n_sites, src_site, dst_site)
-            rows.append(tgt)
-            cols.append(src)
-            vals.append(-t * sign)
-    if not rows:
-        return sp.csr_matrix((n, n))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-
-
-def _occupancy(masks: np.ndarray, n_sites: int) -> np.ndarray:
-    shifts = np.arange(n_sites, dtype=np.uint64)[None, :]
-    return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+def _channel_hopping(masks: np.ndarray, lowered: np.ndarray, bonds: sp.csr_matrix) -> sp.csr_matrix:
+    """sum_ij B_ij c+_i c_j on one channel, as Cᵀ (B ⊗ I) C with C the
+    annihilators of every site stacked."""
+    c = sp.vstack([_annihilator(masks, lowered, i) for i in range(bonds.shape[0])], format="csr")
+    # the product comes out CSC (c.T is); in CSR the sector Kronecker
+    # products that follow are built in row order, about twice as fast
+    return (c.T @ sp.kron(bonds, sp.identity(len(lowered)), format="csr") @ c).tocsr()
 
 
 def _fermion_matrix(geometry: Geometry, spec: ModelSpec, basis: BasisTable) -> sp.csr_matrix:
-    up, dn = basis.up_masks, basis.dn_masks
+    n, up, dn = geometry.n_sites, basis.up_masks, basis.dn_masks
     nu, nd = len(up), len(dn)
-    t_up = _channel_hopping(up, geometry, spec.t)
-    t_dn = _channel_hopping(dn, geometry, spec.t)
+    bonds = _bond_matrix(geometry, -spec.t)
+    t_up = _channel_hopping(up, _masks_with_popcount(n, basis.sector.n_up - 1), bonds)
+    t_dn = _channel_hopping(dn, _masks_with_popcount(n, basis.sector.n_dn - 1), bonds)
     h = sp.kron(t_up, sp.identity(nd, format="csr"), format="csr")
     h = h + sp.kron(sp.identity(nu, format="csr"), t_dn, format="csr")
 
-    occ_u = _occupancy(up, geometry.n_sites)
-    occ_d = _occupancy(dn, geometry.n_sites)
+    occ_u = _occupancy(up, n)
+    occ_d = _occupancy(dn, n)
     diag = np.zeros((nu, nd))
     if spec.kind in ("hubbard", "ppp") and spec.U != 0.0:
         # (U/2) n(n-1) = U * (number of doubly occupied sites)
@@ -177,7 +164,7 @@ def _fermion_matrix(geometry: Geometry, spec: ModelSpec, basis: BasisTable) -> s
     if spec.kind == "ppp":
         d = geometry.distance_matrix
         v = np.zeros_like(d)
-        off = ~np.eye(geometry.n_sites, dtype=bool)
+        off = ~np.eye(n, dtype=bool)
         v[off] = 14.397 / np.sqrt((28.794 / (2.0 * spec.U)) ** 2 + d[off] ** 2)
         w = v.sum(axis=1)
         z = spec.z
@@ -192,46 +179,18 @@ def _fermion_matrix(geometry: Geometry, spec: ModelSpec, basis: BasisTable) -> s
 
 
 def _spin_matrix(geometry: Geometry, spec: ModelSpec, basis: BasisTable) -> sp.csr_matrix:
-    codes = basis.spin_codes
-    dim = len(codes)
-    twice = basis.twice_site_spin
-    digits = basis.digit_matrix().astype(np.int64)
-    m = 0.5 * (2.0 * digits - twice)  # per-site magnetization
-
-    diag = np.zeros(dim)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    n, twice = geometry.n_sites, basis.twice_site_spin
+    m = 0.5 * (2.0 * basis.digit_matrix() - twice)  # per-site magnetization
+    diag = np.zeros(basis.dim)
     for a, b in geometry.bonds:
-        da, db = digits[:, a - 1], digits[:, b - 1]
         diag += spec.J * m[:, a - 1] * m[:, b - 1]
-        for lo_site, hi_site in ((a, b), (b, a)):
-            # S+_{lo} S-_{hi} / 2: raise digit at lo_site, lower at hi_site
-            dl = digits[:, lo_site - 1]
-            dh = digits[:, hi_site - 1]
-            ok = (dl < twice) & (dh > 0)
-            src = np.flatnonzero(ok)
-            if len(src) == 0:
-                continue
-            raise_f = (twice - dl[src]) * (dl[src] + 1)
-            lower_f = dh[src] * (twice - dh[src] + 1)
-            coeff = 0.5 * spec.J * np.sqrt((raise_f * lower_f).astype(np.float64))
-            new = (
-                codes[src].astype(np.int64)
-                + (1 << (2 * (lo_site - 1)))
-                - (1 << (2 * (hi_site - 1)))
-            ).astype(np.uint64)
-            tgt = np.searchsorted(codes, new)
-            rows.append(tgt)
-            cols.append(src)
-            vals.append(coeff)
-    h = sp.diags(diag, format="csr")
-    if rows:
-        h = h + sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-    return h.tocsr()
+    # (J/2) sum_<ij> (S+_i S-_j + S-_i S+_j) from the raisers of the 2M_S - 2
+    # sector side by side; each product of two squared factors is an exact
+    # integer, so one square root gives every flip-flop element exactly
+    lowered = _spin_codes(n, twice + 1, basis.sector.twice_ms - 2, twice)
+    r = sp.hstack([_raiser(lowered, basis.spin_codes, i, twice) for i in range(n)], format="csr")
+    flips = r @ sp.kron(_bond_matrix(geometry, 1.0), sp.identity(len(lowered)), format="csr") @ r.T
+    return (sp.diags(diag, format="csr") + 0.5 * spec.J * flips.sqrt()).tocsr()
 
 
 def build_model(geometry: Geometry, spec: ModelSpec, sector: Sector) -> SparseOperator:

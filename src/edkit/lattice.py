@@ -304,13 +304,23 @@ def load_geometry(path) -> Geometry:
         pos += 1
         return lineno, text.split()
 
-    lineno, tok = take("sites")
-    if len(tok) != 2 or tok[0] != "sites":
-        raise GeometryParseError(f"line {lineno}: expected 'sites N'")
-    try:
-        n = int(tok[1])
-    except ValueError:
-        raise GeometryParseError(f"line {lineno}: site count is not an integer") from None
+    def take_count(word: str, low: int) -> int:
+        """The count of a 'word N' section header, at most the rows that follow."""
+        lineno, tok = take(word)
+        if len(tok) != 2 or tok[0] != word:
+            raise GeometryParseError(f"line {lineno}: expected '{word} N'")
+        try:
+            count = int(tok[1])
+        except ValueError:
+            raise GeometryParseError(f"line {lineno}: {word[:-1]} count is not an integer") from None
+        if not low <= count <= len(rows) - pos:
+            raise GeometryParseError(
+                f"line {lineno}: {word[:-1]} count {count} must be in {low}..{len(rows) - pos}, "
+                "the rows that follow"
+            )
+        return count
+
+    n = take_count("sites", 1)
     coords = np.zeros((n, 3))
     seen = set()
     for _ in range(n):
@@ -326,13 +336,7 @@ def load_geometry(path) -> Geometry:
             raise GeometryParseError(f"line {lineno}: bad or duplicate site index {i}")
         seen.add(i)
         coords[i - 1] = xyz
-    lineno, tok = take("bonds")
-    if len(tok) != 2 or tok[0] != "bonds":
-        raise GeometryParseError(f"line {lineno}: expected 'bonds M'")
-    try:
-        m = int(tok[1])
-    except ValueError:
-        raise GeometryParseError(f"line {lineno}: bond count is not an integer") from None
+    m = take_count("bonds", 0)
     bonds = []
     for _ in range(m):
         lineno, tok = take("bond row")

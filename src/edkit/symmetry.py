@@ -9,7 +9,8 @@ Conventions (all signs follow the canonical operator ordering of the basis
 module):
 
 * The reflection permutes sites by the geometry's declared two-fold
-  permutation; the fermionic sign is the parity of re-sorting each spin
+  permutation.  On fermions it is the Kronecker product of the two
+  channels' signed permutations, each sign the parity of re-sorting that
   channel's creation operators.  In half-filled sectors the overall phase
   is fixed so the alternating covalent (Neel type) reference configuration
   maps with coefficient +1.
@@ -22,7 +23,10 @@ module):
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
-of one vector or of a block, is formed with it.
+of one vector or of a block, is formed with it.  On fermions S+ is a sum of
+channel Kronecker products, (-1)^{N_up} sum_i c+_{i,up} ⊗ c_{i,dn}, built
+from the basis module's annihilators; on spins it is sqrt(sum_i R_i) of its
+raisers.
 """
 
 from __future__ import annotations
@@ -33,7 +37,15 @@ from math import sqrt
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisTable, FermionState, _masks_with_popcount, _spin_codes
+from .basis import (
+    BasisTable,
+    FermionState,
+    _annihilator,
+    _masks_with_popcount,
+    _occupancy,
+    _raiser,
+    _spin_codes,
+)
 from .lattice import Geometry
 
 __all__ = [
@@ -107,25 +119,19 @@ def parse_label(text: str) -> SymmetryLabel:
     )
 
 
-def _permute_masks(masks: np.ndarray, n_sites: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Image masks and fermionic signs of one spin channel under a site permutation.
+def _channel_permutation(masks: np.ndarray, n_sites: int, perm: tuple[int, ...]) -> sp.csr_matrix:
+    """Signed permutation matrix of a site permutation on one spin channel.
 
     The sign is the parity of re-sorting the mapped (ascending-occupied)
-    creation-operator list, counted as inversions over the fixed set of
-    inverting site pairs of the permutation.
+    creation-operator list: the number of occupied site pairs whose order
+    the permutation inverts.
     """
-    new = np.zeros_like(masks)
-    for site in range(1, n_sites + 1):
-        bit = ((masks >> np.uint64(site - 1)) & np.uint64(1))
-        new |= bit << np.uint64(perm[site - 1] - 1)
-    inversions = np.zeros(len(masks), dtype=np.int64)
-    for s1 in range(1, n_sites + 1):
-        for s2 in range(s1 + 1, n_sites + 1):
-            if perm[s1 - 1] > perm[s2 - 1]:
-                pair = np.uint64((1 << (s1 - 1)) | (1 << (s2 - 1)))
-                inversions += (np.bitwise_count(masks & pair) == 2).astype(np.int64)
-    sign = np.where(inversions % 2 == 0, 1.0, -1.0)
-    return new, sign
+    occ = _occupancy(masks, n_sites)
+    image = np.asarray(perm, dtype=np.int64) - 1
+    new = (occ.astype(np.uint64) << image.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    inverted = np.triu(image[:, None] > image[None, :], 1).astype(np.float64)
+    sign = np.where(np.einsum("ms,st,mt->m", occ, inverted, occ) % 2 == 0, 1.0, -1.0)
+    return _signed_permutation(np.searchsorted(masks, new), sign)
 
 
 def _signed_permutation(perm: np.ndarray, sign: np.ndarray) -> sp.csr_matrix:
@@ -137,33 +143,28 @@ def _signed_permutation(perm: np.ndarray, sign: np.ndarray) -> sp.csr_matrix:
 def c2_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
     """Signed permutation matrix of the declared two-fold symmetry on a sector.
 
-    For half-filled fermionic sectors the overall operator phase is fixed
-    so that the alternating covalent reference configuration maps with
-    coefficient +1.  That matches the parity labels of spin-adapted bases:
-    at M_S = 0 it coincides with the raw operator-reordering parity, while
-    in polarized sectors it absorbs the constant sign the re-sorting of
-    unequal up/down channels would otherwise attach to every state.
+    On fermions it is the Kronecker product of the two channels' signed
+    permutations.  For half-filled fermionic sectors the overall operator
+    phase is fixed so that the alternating covalent reference configuration
+    maps with coefficient +1.  That matches the parity labels of
+    spin-adapted bases: at M_S = 0 it coincides with the raw
+    operator-reordering parity, while in polarized sectors it absorbs the
+    constant sign the re-sorting of unequal up/down channels would
+    otherwise attach to every state.
     """
     if geometry.c2_perm is None:
         raise SymmetryError(f"geometry {geometry.name!r} declares no two-fold symmetry")
     perm = geometry.c2_perm
     n = basis.n_sites
     if basis.kind == "fermion":
-        up_new, up_sign = _permute_masks(basis.up_masks, n, perm)
-        dn_new, dn_sign = _permute_masks(basis.dn_masks, n, perm)
-        iu = np.searchsorted(basis.up_masks, up_new)
-        idn = np.searchsorted(basis.dn_masks, dn_new)
-        gperm = (iu[:, None] * len(basis.dn_masks) + idn[None, :]).reshape(-1)
-        gsign = (up_sign[:, None] * dn_sign[None, :]).reshape(-1)
-        if basis.sector.n_electrons == n and gsign[_reference_index(basis)] < 0:
-            gsign = -gsign
-        return _signed_permutation(gperm, gsign)
-    codes = basis.spin_codes
-    new = np.zeros_like(codes)
-    for site in range(1, n + 1):
-        digit = (codes >> np.uint64(2 * (site - 1))) & np.uint64(3)
-        new |= digit << np.uint64(2 * (perm[site - 1] - 1))
-    return _signed_permutation(np.searchsorted(codes, new), np.ones(len(codes)))
+        up, dn = (_channel_permutation(masks, n, perm) for masks in (basis.up_masks, basis.dn_masks))
+        c2 = sp.kron(up, dn, format="csr")
+        if basis.sector.n_electrons == n and c2[:, [_reference_index(basis)]].sum() < 0:
+            c2 = -c2
+        return c2
+    shifts = 2 * (np.asarray(perm, dtype=np.uint64) - np.uint64(1))
+    new = (basis.digit_matrix().astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+    return _signed_permutation(np.searchsorted(basis.spin_codes, new), np.ones(basis.dim))
 
 
 def _neel_reference(n_sites: int, n_up: int) -> tuple[int, int]:
@@ -298,47 +299,22 @@ def projector(
 def raising_operator(basis: BasisTable) -> sp.csr_matrix:
     """S+ = sum_i S+_i as a sparse map from the sector to its 2M_S + 2 sector.
 
-    Fermions raise one site at a time with c+_{i,up} c_{i,dn}; its sign is
-    the parity of the up operators below site i (creation) times that of
-    every up operator and the down operators below site i (annihilation).
-    Spin digits d < 2s rise by one with sqrt((2s - d)(d + 1)).  A fully
+    Fermions: S+_i = c+_{i,up} c_{i,dn}, and c_{i,dn} passes every up
+    operator of the canonical ordering, so S+ = (-1)^{N_up} sum_i
+    c+_{i,up} ⊗ c_{i,dn} on the (up, dn) Kronecker layout.  Spins: the
+    raisers hold squared factors, so S+ = sqrt(sum_i R_i).  A fully
     polarized sector has no raised sector, and the matrix has no rows.
     """
-    n = basis.n_sites
-    sec = basis.sector
-    rows, cols, vals = [], [], []
+    n, sec = basis.n_sites, basis.sector
     if basis.kind == "fermion":
-        up, dn = basis.up_masks, basis.dn_masks
         up_raised = _masks_with_popcount(n, sec.n_up + 1)
-        dn_raised = _masks_with_popcount(n, sec.n_dn - 1)
-        for site in range(n):
-            bit = np.uint64(1 << site)
-            below = np.uint64((1 << site) - 1)
-            iu = np.flatnonzero((up & bit) == 0)
-            idn = np.flatnonzero((dn & bit) != 0)
-            tu = np.searchsorted(up_raised, up[iu] | bit)
-            td = np.searchsorted(dn_raised, dn[idn] ^ bit)
-            s_u = 1 - 2 * (np.bitwise_count(up[iu] & below).astype(np.int64) % 2)
-            s_d = 1 - 2 * ((np.bitwise_count(dn[idn] & below).astype(np.int64) + sec.n_up) % 2)
-            rows.append((tu[:, None] * len(dn_raised) + td[None, :]).ravel())
-            cols.append((iu[:, None] * len(dn) + idn[None, :]).ravel())
-            vals.append((s_u[:, None] * s_d[None, :]).ravel().astype(float))
-        raised_dim = len(up_raised) * len(dn_raised)
-    else:
-        twice = basis.twice_site_spin
-        codes_raised = _spin_codes(n, twice + 1, sec.twice_ms + 2, twice)
-        digits = basis.digit_matrix().astype(np.int64)
-        for site in range(n):
-            src = np.flatnonzero(digits[:, site] < twice)
-            d = digits[src, site]
-            rows.append(np.searchsorted(codes_raised, basis.spin_codes[src] + np.uint64(1 << (2 * site))))
-            cols.append(src)
-            vals.append(np.sqrt(((twice - d) * (d + 1)).astype(float)))
-        raised_dim = len(codes_raised)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(raised_dim, basis.dim),
-    )
+        dn_lowered = _masks_with_popcount(n, sec.n_dn - 1)
+        c_up = [_annihilator(up_raised, basis.up_masks, i).T for i in range(n)]
+        c_dn = [_annihilator(basis.dn_masks, dn_lowered, i) for i in range(n)]
+        return (-1.0) ** sec.n_up * sum(sp.kron(a, b, format="csr") for a, b in zip(c_up, c_dn))
+    twice = basis.twice_site_spin
+    raised = _spin_codes(n, twice + 1, sec.twice_ms + 2, twice)
+    return sum(_raiser(basis.spin_codes, raised, i, twice) for i in range(n)).sqrt()
 
 
 def spin_squared(vectors: np.ndarray, basis: BasisTable) -> float | np.ndarray:

@@ -7,6 +7,8 @@ n..2n-1), and every sign comes from literally sorting operator lists.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,32 @@ def brute_dense_hubbard(geometry, t: float, u: float, basis):
                         continue
                     j = index[masks_of(out, n)]
                     h[j, i] += -t * s1 * s2
+    return h
+
+
+def brute_dense_heisenberg(geometry, j: float, basis):
+    """Dense J sum_<ab> S_a . S_b assembled one digit string at a time, with
+    S+-|s, m> = sqrt(s(s+1) - m(m +- 1)) |s, m +- 1> on each site."""
+    s = basis.twice_site_spin / 2
+    dim = basis.dim
+    h = np.zeros((dim, dim))
+    states = [basis.state_at(i).digits for i in range(dim)]
+    index = {digits: i for i, digits in enumerate(states)}
+
+    def ladder(m, step):
+        return math.sqrt(s * (s + 1) - m * (m + step))
+
+    for i, digits in enumerate(states):
+        m = [d - s for d in digits]
+        for a, b in geometry.bonds:
+            h[i, i] += j * m[a - 1] * m[b - 1]
+            for up, dn in ((a, b), (b, a)):
+                if m[up - 1] < s and m[dn - 1] > -s:
+                    new = list(digits)
+                    new[up - 1] += 1
+                    new[dn - 1] -= 1
+                    amp = ladder(m[up - 1], 1) * ladder(m[dn - 1], -1)
+                    h[index[tuple(new)], i] += 0.5 * j * amp
     return h
 
 

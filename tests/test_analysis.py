@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edkit.analysis import (
+    MAX_DOS_BINS,
     AnalysisError,
     EntropyDosComparison,
     Profile,
@@ -42,6 +43,12 @@ def test_dos_histogram_examples():
 def test_dos_histogram_rejects_bin_index_overflow():
     with pytest.raises(AnalysisError, match="bin width 1e-300 is too small"):
         dos_histogram([0.0, 1.0], 1e-300)
+
+
+def test_dos_histogram_bin_limit():
+    with pytest.raises(AnalysisError, match="bin width 1e-05 would need 1200001 DoS bins"):
+        dos_histogram([0.0, 12.0], 1e-5)
+    assert len(dos_histogram([0.0, 999_999.0], 1.0).y) == MAX_DOS_BINS
 
 
 def test_profile_validation():

@@ -558,3 +558,80 @@ def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
     assert manifest["status"] == "failed"
     assert main(["verify", str(tmp_path / "out" / "eigenpairs.edarch")]) == 3
     assert "out of memory" in capsys.readouterr().err
+
+
+HUB4_CFG = """\
+[run]
+task = {task}
+output = {out}
+[geometry]
+kind = chain
+n_sites = 4
+[model]
+kind = hubbard
+t = -1.0
+U = 4.0
+[sector]
+n_electrons = 4
+twice_ms = 0
+[entangle]
+left_size = {left_size}
+[profile]
+smoothing = {smoothing}
+bin_width = {bin_width}
+"""
+
+
+def test_dos_bin_limit_exit_2(tmp_path, capsys):
+    text = HUB4_CFG.format(task="dos", out=tmp_path / "out", left_size=2,
+                           smoothing="none", bin_width="1e-5")
+    assert main(["run", str(_write(tmp_path, "dos.cfg", text))]) == 2
+    assert "DoS bins, more than 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, field, value, message",
+    [
+        ("profile", "smoothing", "bogus", "[profile] smoothing must be one of"),
+        ("profile", "bin_width", "-1", "[profile] bin_width must be positive, got -1.0"),
+        ("dos", "bin_width", "0", "[profile] bin_width must be positive, got 0.0"),
+        ("profile", "left_size", "9", "left_size must be in 1..3, got 9"),
+        ("dos", "left_size", "0", "left_size must be in 1..3, got 0"),
+        ("entangle", "left_size", "4", "left_size must be in 1..3, got 4"),
+    ],
+)
+def test_settings_rejected_before_build(tmp_path, capsys, monkeypatch, task, field, value, message):
+    import edkit.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was built before the config was checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    fields = {"left_size": "2", "smoothing": "none", "bin_width": "0.5", field: value}
+    text = HUB4_CFG.format(task=task, out=tmp_path / "out", **fields)
+    assert main(["run", str(_write(tmp_path, "early.cfg", text))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "0", "99999999999", "5"])
+def test_geometry_site_count_exit_2(tmp_path, capsys, count):
+    geom = _write(tmp_path, "chain.geom",
+                  f"# chain\nsites {count}\n1 0 0 0\n2 1.397 0 0\nbonds 1\n1 2\n")
+    text = SOLVE_CFG.format(out=tmp_path / "out").replace(
+        "kind = chain\nn_sites = 2\n", f"kind = file\npath = {geom}\n"
+    )
+    assert main(["run", str(_write(tmp_path, "file.cfg", text))]) == 2
+    assert f"line 2: site count {count} must be in 1..4" in capsys.readouterr().err
+
+
+def test_geometry_emit_memory_error_exit_3(capsys, monkeypatch):
+    import edkit.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_chain", exhausted)
+    assert main(["geometry", "emit", "chain", "--n-sites", "200000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out of memory" in captured.err

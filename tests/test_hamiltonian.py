@@ -3,10 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_dense_hubbard
+from conftest import brute_dense_heisenberg, brute_dense_hubbard
 from edkit.basis import Sector
 from edkit.hamiltonian import ModelError, ModelSpec, build_model, ohno_potential
-from edkit.lattice import build_chain
+from edkit.lattice import Geometry, build_chain, build_icosahedron
+
+
+def _ring(n: int) -> Geometry:
+    """n sites on a circle of unit radius, bonded around it: bond (1, n)
+    passes over every other site of the canonical ordering."""
+    phi = 2 * np.pi * np.arange(n) / n
+    coords = np.stack([np.cos(phi), np.sin(phi), np.zeros(n)], axis=1)
+    return Geometry(name=f"ring-{n}", coords=coords, bonds=tuple((i, i % n + 1) for i in range(1, n + 1)))
+
+
+def _fermion_sectors(n_sites: int, max_electrons: int):
+    for ne in range(max_electrons + 1):
+        top = min(ne, 2 * n_sites - ne)
+        for tm in range(-top, top + 1, 2):
+            yield Sector(ne, tm)
 
 
 def test_ohno_onsite_limit():
@@ -80,6 +95,36 @@ def test_apply_matches_brute_force_dense():
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
     oracle = brute_dense_hubbard(g, -1.0, 4.0, h.basis)
     assert np.abs(h.matrix.toarray() - oracle).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "geometry, max_electrons",
+    [(_ring(5), 10), (build_icosahedron(), 3)],
+    ids=["ring5-every-sector", "icosahedron-n-le-3"],
+)
+def test_hubbard_matches_brute_force_on_long_bonds(geometry, max_electrons):
+    # the oracle forms the same products (-t times signs, U times a count),
+    # so every entry, Jordan-Wigner sign included, must agree exactly
+    spec = ModelSpec(kind="hubbard", t=-1.3, U=4.0)
+    for sector in _fermion_sectors(geometry.n_sites, max_electrons):
+        h = build_model(geometry, spec, sector)
+        oracle = brute_dense_hubbard(geometry, -1.3, 4.0, h.basis)
+        assert np.array_equal(h.matrix.toarray(), oracle), sector
+
+
+@pytest.mark.parametrize("site_spin", [0.5, 1.0])
+@pytest.mark.parametrize("geometry", [build_chain(4), _ring(4)], ids=["chain4", "ring4"])
+def test_heisenberg_matches_brute_force_dense(geometry, site_spin):
+    spec = ModelSpec(kind="heisenberg", J=0.7, site_spin=site_spin)
+    top = round(2 * site_spin) * geometry.n_sites
+    for tm in range(-top, top + 1, 2):
+        h = build_model(geometry, spec, Sector(None, tm))
+        oracle = brute_dense_heisenberg(geometry, 0.7, h.basis)
+        dense = h.matrix.toarray()
+        # the diagonal is the same J m_a m_b sum; the flip-flop amplitudes
+        # are formed from m rather than from digits, so they agree to rounding
+        assert np.array_equal(np.diag(dense), np.diag(oracle)), tm
+        assert np.abs(dense - oracle).max() <= 1e-14, tm
 
 
 def test_hermiticity_random_pairs(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edkit.lattice import (
     Bipartition,
@@ -200,8 +202,71 @@ def test_load_malformed_reports_line(tmp_path):
         load_geometry(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sites 1\n1 0 0 0\nbonds -1\n", "line 3: bond count -1 must be in 0..0"),
+        ("sites 2\n1 0 0 0\n2 1 0 0\nbonds 5\n1 2\n", "line 4: bond count 5 must be in 0..1"),
+    ],
+    ids=["negative", "too-many"],
+)
+def test_load_rejects_bond_counts_beyond_the_rows_that_follow(tmp_path, text, message):
+    path = tmp_path / "bad.geom"
+    path.write_text(text)
+    with pytest.raises(GeometryError, match=message):
+        load_geometry(path)
+
+
 def test_chain_c2_detected_on_load(tmp_path):
     g = build_chain(6, 1.1)
     path = tmp_path / "chain.geom"
     save_geometry(g, path)
     assert load_geometry(path).c2_perm == (6, 5, 4, 3, 2, 1)
+
+
+_COUNTS = st.one_of(
+    st.integers(-3, 6),
+    st.sampled_from(["99999999999", "-99999999999", str(2**63), "2.5", "x", ""]),
+)
+_NUMBERS = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0.5", "x"]),
+)
+_ROWS = st.lists(_NUMBERS, min_size=0, max_size=5).map(" ".join)
+
+
+@st.composite
+def _geometry_texts(draw):
+    """Geometry files near the grammar: section words, counts (negative and
+    huge ones included) and rows with wrong lengths or tokens."""
+    lines = []
+    for word in ("sites", "bonds"):
+        if draw(st.booleans()):
+            lines.append(f"# {draw(st.sampled_from(['ring', '', 'sites 3']))}")
+        head = draw(st.sampled_from([word, word, "sites", "bonds", "atoms"]))
+        count = draw(_COUNTS)
+        lines.append(f"{head} {count}".strip())
+        n_rows = draw(st.integers(0, 6))
+        width = 4 if word == "sites" else 2
+        for k in range(n_rows):
+            if draw(st.integers(0, 3)):  # mostly well-shaped rows
+                index = str(k + 1) if draw(st.booleans()) else draw(_NUMBERS)
+                tail = [draw(_NUMBERS) for _ in range(width - 1)]
+                lines.append(" ".join([index, *tail]))
+            else:
+                lines.append(draw(_ROWS))
+    if draw(st.booleans()):
+        lines.append(draw(_ROWS))
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(text=_geometry_texts())
+def test_load_geometry_fuzz_raises_only_geometry_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.geom"
+    path.write_text(text, encoding="utf-8")
+    try:
+        geometry = load_geometry(path)
+    except GeometryError:
+        return
+    assert 1 <= geometry.n_sites <= text.count("\n")
