@@ -14,6 +14,14 @@ packed code for spins, which makes every basis table a deterministic
 archive.  Two ladder primitives, CSR maps between neighbouring state lists,
 carry the encoding to the other modules: `_annihilator` (c_i on one fermion
 channel with its Jordan-Wigner sign) and `_raiser` (S+_i on spin codes).
+
+Bipartite factorization is a per-channel sort plus a reshape, with no
+per-state index.  Fermions have two channels, the up and the down masks;
+spin codes are the one-channel case.  Each channel is sorted by (left digit
+sum k_l, left sub-code, right sub-code), and once k_l is fixed its states
+are the complete product of the left and right sub-lists, so a left-sector
+block is a slice of the sorted layout.  A fermion channel position carries
+its gather parity and a block one constant cross sign.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +42,7 @@ __all__ = [
     "SpinState",
     "Sector",
     "BasisTable",
+    "ChannelLayout",
     "BipartiteBlock",
     "BipartiteIndex",
     "SectorError",
@@ -190,6 +199,14 @@ def _occupancy(masks: np.ndarray, n_sites: int) -> np.ndarray:
     """(len(masks), n_sites) float matrix of one channel's site occupations."""
     shifts = np.arange(n_sites, dtype=np.uint64)[None, :]
     return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+
+
+def _reorder_sign(occ: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """+1 or -1 per row of a channel occupancy matrix: the parity of moving
+    the occupied sites, listed ascending, to the 0-based positions `image`
+    (one per site), i.e. of the occupied site pairs whose order it inverts."""
+    inverted = np.triu(image[:, None] > image[None, :], 1).astype(np.float64)
+    return np.where(np.einsum("ms,st,mt->m", occ, inverted, occ) % 2 == 0, 1.0, -1.0)
 
 
 def _twice_site_spin(model_kind: str, site_spin: float) -> int:
@@ -352,166 +369,109 @@ def multiplet_counts(n_sites: int, model_kind: str, site_spin: float = 0.5) -> d
 
 
 @dataclass(frozen=True)
+class ChannelLayout:
+    """One channel's states (fermion up or down masks, or spin codes) sorted
+    by (left digit sum k_l, left sub-code, right sub-code).
+
+    For each k_l the sorted states are the complete product of the left and
+    right sub-lists, row-major [left, right].
+    """
+
+    order: np.ndarray  # channel position of each layout position
+    sign: np.ndarray  # gather parity of each layout position, ones on spins
+    segments: dict[int, tuple[int, int, int]]  # k_l -> (start, left count, right count)
+
+
+@dataclass(frozen=True)
 class BipartiteBlock:
-    """All global states whose left part carries one (2M_S, n) left sector."""
+    """All global states whose left part carries one (2M_S, n) left sector:
+    one k_l segment (start, left count, right count) of every channel, and
+    the sign (-1)^(k_dl k_ur) shared by all its fermion states."""
 
     twice_ms_left: int
     n_left: int
     left_dim: int
     right_dim: int
-    global_index: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    sign: np.ndarray
+    segments: tuple[tuple[int, int, int], ...]
+    cross_sign: float
 
 
 @dataclass(frozen=True)
 class BipartiteIndex:
-    """Per-state (left, right, sign) factorization across a site cut.
+    """Factorization of a basis across a site cut: its channel layouts and
+    the left-sector blocks they form.
 
-    The sign is the parity of reordering all creation operators from the
-    canonical global ordering into block ordering (left up, left dn, right
-    up, right dn); it is +1 identically for spin models.
+    A fermion state's sign is the parity of reordering its creation
+    operators from the canonical global ordering into block ordering (left
+    up, left dn, right up, right dn): the product of its two channel gather
+    parities and its block's cross sign, the left down operators moved past
+    the right up ones.  It is +1 identically for spin models.  The index
+    records the basis it factorizes.
     """
 
     bipartition: Bipartition
-    basis_dim: int
+    kind: str
+    n_sites: int
+    sector: Sector
+    twice_site_spin: int
+    channels: tuple[ChannelLayout, ...]
     blocks: tuple[BipartiteBlock, ...]
 
 
-def _gather_info(masks: np.ndarray, n_sites: int, left: Sequence[int], right: Sequence[int]):
-    """Per-mask left/right sub-masks, local ranks, and gather parity.
-
-    The gather parity is the sign of sorting the occupied sites from global
-    ascending order into (left ascending, right ascending) order; it is +1
-    for cuts where every left site precedes every right site.
-    """
-    left = sorted(left)
-    right = sorted(right)
-    m = masks.astype(np.uint64)
-    sub_l = np.zeros(len(m), dtype=np.uint64)
-    sub_r = np.zeros(len(m), dtype=np.uint64)
-    for pos, site in enumerate(left):
-        sub_l |= ((m >> np.uint64(site - 1)) & np.uint64(1)) << np.uint64(pos)
-    for pos, site in enumerate(right):
-        sub_r |= ((m >> np.uint64(site - 1)) & np.uint64(1)) << np.uint64(pos)
-    k_l = np.bitwise_count(sub_l).astype(np.int64)
-    k_r = np.bitwise_count(sub_r).astype(np.int64)
-
-    left_mask_bits = sum(1 << (s - 1) for s in left)
-    inversions = np.zeros(len(m), dtype=np.int64)
-    for site in right:
-        above = left_mask_bits >> site  # left sites with index > this right site
-        above_mask = np.uint64(above << site)
-        occupied = ((m >> np.uint64(site - 1)) & np.uint64(1)).astype(np.int64)
-        inversions += occupied * np.bitwise_count(m & above_mask).astype(np.int64)
-    parity = np.where(inversions % 2 == 0, 1, -1).astype(np.int8)
-
-    rank_l = np.empty(len(m), dtype=np.int64)
-    rank_r = np.empty(len(m), dtype=np.int64)
-    for k in np.unique(k_l):
-        table = _masks_with_popcount(len(left), int(k))
-        sel = k_l == k
-        rank_l[sel] = np.searchsorted(table, sub_l[sel])
-    for k in np.unique(k_r):
-        table = _masks_with_popcount(len(right), int(k))
-        sel = k_r == k
-        rank_r[sel] = np.searchsorted(table, sub_r[sel])
-    return k_l, k_r, rank_l, rank_r, parity
-
-
-def _fermion_factorize(basis: BasisTable, bipartition: Bipartition) -> BipartiteIndex:
-    left, right = bipartition.left, bipartition.right
-    nl, nr = len(left), len(right)
-    up = _gather_info(basis.up_masks, basis.n_sites, left, right)
-    dn = _gather_info(basis.dn_masks, basis.n_sites, left, right)
-    ku_l, ku_r, uprank_l, uprank_r, upar = up
-    kd_l, kd_r, dnrank_l, dnrank_r, dpar = dn
-
-    n_dn_list = len(basis.dn_masks)
-    dim = basis.dim
-    iu = np.repeat(np.arange(len(basis.up_masks)), n_dn_list)
-    idn = np.tile(np.arange(n_dn_list), len(basis.up_masks))
-
-    ku, kd = ku_l[iu], kd_l[idn]
-    # local composite index: up-left rank runs over the slower axis, exactly
-    # matching the (up, dn) lexicographic ordering of a left-block BasisTable
-    l_dn_dim = np.array([comb(nl, int(k)) for k in kd_l])[idn]
-    r_dn_dim = np.array([comb(nr, int(k)) for k in kd_r])[idn]
-
-    row = uprank_l[iu] * l_dn_dim + dnrank_l[idn]
-    col = uprank_r[iu] * r_dn_dim + dnrank_r[idn]
-    # reordering parity: (left up, left dn) x (right up, right dn) needs the
-    # left-block down operators moved past the right-block up operators
-    cross = ((kd * ku_r[iu]) % 2).astype(np.int8)
-    sign = (upar[iu] * dpar[idn] * np.where(cross == 0, 1, -1)).astype(np.int8)
-
-    key = ku * (basis.sector.n_dn + 1) + kd
-    order = np.argsort(key, kind="stable")
-    blocks: list[BipartiteBlock] = []
-    sorted_key = key[order]
-    boundaries = np.flatnonzero(np.diff(sorted_key)) + 1
-    for chunk in np.split(order, boundaries):
-        g0 = chunk[0]
-        b_ku, b_kd = int(ku[g0]), int(kd[g0])
-        blocks.append(
-            BipartiteBlock(
-                twice_ms_left=b_ku - b_kd,
-                n_left=b_ku + b_kd,
-                left_dim=comb(nl, b_ku) * comb(nl, b_kd),
-                right_dim=comb(nr, basis.sector.n_up - b_ku) * comb(nr, basis.sector.n_dn - b_kd),
-                global_index=chunk.astype(np.int64),
-                row=row[chunk],
-                col=col[chunk],
-                sign=sign[chunk],
-            )
-        )
-    blocks.sort(key=lambda b: (b.n_left, b.twice_ms_left))
-    return BipartiteIndex(bipartition=bipartition, basis_dim=dim, blocks=tuple(blocks))
-
-
-def _spin_factorize(basis: BasisTable, bipartition: Bipartition) -> BipartiteIndex:
-    left = sorted(bipartition.left)
-    right = sorted(bipartition.right)
-    twice = basis.twice_site_spin
-    digits = basis.digit_matrix()
-    dl = digits[:, [s - 1 for s in left]]
-    dr = digits[:, [s - 1 for s in right]]
-    tm_left = (2 * dl.sum(axis=1, dtype=np.int64) - twice * len(left)).astype(np.int64)
-
-    def pack(block: np.ndarray) -> np.ndarray:
-        codes = np.zeros(block.shape[0], dtype=np.uint64)
-        for pos in range(block.shape[1]):
-            codes |= block[:, pos].astype(np.uint64) << np.uint64(2 * pos)
-        return codes
-
-    lcodes, rcodes = pack(dl), pack(dr)
-    blocks: list[BipartiteBlock] = []
-    for tm in np.unique(tm_left):
-        sel = np.flatnonzero(tm_left == tm)
-        ltable = _spin_codes(len(left), twice + 1, int(tm), twice)
-        rtable = _spin_codes(len(right), twice + 1, basis.sector.twice_ms - int(tm), twice)
-        blocks.append(
-            BipartiteBlock(
-                twice_ms_left=int(tm),
-                n_left=len(left),
-                left_dim=len(ltable),
-                right_dim=len(rtable),
-                global_index=sel.astype(np.int64),
-                row=np.searchsorted(ltable, lcodes[sel]).astype(np.int64),
-                col=np.searchsorted(rtable, rcodes[sel]).astype(np.int64),
-                sign=np.ones(len(sel), dtype=np.int8),
-            )
-        )
-    blocks.sort(key=lambda b: (b.n_left, b.twice_ms_left))
-    return BipartiteIndex(bipartition=bipartition, basis_dim=basis.dim, blocks=tuple(blocks))
+def _channel_layout(
+    digits: np.ndarray, left: list[int], right: list[int], image: np.ndarray | None
+) -> ChannelLayout:
+    """Layout of one channel from its (states, n_sites) digit matrix.  On
+    fermions `image` holds each site's 0-based position in the block order
+    (left sites, then right sites); on spins it is None."""
+    dl, dr = digits[:, [s - 1 for s in left]], digits[:, [s - 1 for s in right]]
+    k_l = dl.sum(axis=1).astype(np.int64)
+    # lexsort sorts by its last key first; a sub-code's leading digit is its last site
+    order = np.lexsort(np.column_stack([dr, dl, k_l]).T)
+    sign = np.ones(len(order)) if image is None else _reorder_sign(digits[order], image)
+    k_sorted, dl_sorted = k_l[order], dl[order]
+    starts = np.flatnonzero(np.diff(k_sorted, prepend=-1))
+    segments = {}
+    for a, b in zip(starts, [*starts[1:], len(order)]):
+        right_count = int(np.all(dl_sorted[a:b] == dl_sorted[a], axis=1).sum())
+        segments[int(k_sorted[a])] = (int(a), int(b - a) // right_count, right_count)
+    return ChannelLayout(order, sign, segments)
 
 
 def bipartite_factorize(basis: BasisTable, bipartition: Bipartition) -> BipartiteIndex:
-    """Factorize every basis state into (left index, right index, sign)."""
+    """Sort every channel of the basis into its layout across the cut; each
+    block pairs one k_l segment per channel."""
     sites = set(bipartition.left) | set(bipartition.right)
     if sites != set(range(1, basis.n_sites + 1)):
         raise SectorError("bipartition must cover exactly the basis sites")
+    left, right = sorted(bipartition.left), sorted(bipartition.right)
     if basis.kind == "fermion":
-        return _fermion_factorize(basis, bipartition)
-    return _spin_factorize(basis, bipartition)
+        image = np.argsort([s - 1 for s in left + right])
+        channels = up, dn = tuple(
+            _channel_layout(_occupancy(masks, basis.n_sites), left, right, image)
+            for masks in (basis.up_masks, basis.dn_masks)
+        )
+        blocks = [
+            BipartiteBlock(
+                twice_ms_left=ku - kd,
+                n_left=ku + kd,
+                left_dim=su[1] * sd[1],
+                right_dim=su[2] * sd[2],
+                segments=(su, sd),
+                cross_sign=(-1.0) ** (kd * (basis.sector.n_up - ku)),
+            )
+            for ku, su in up.segments.items()
+            for kd, sd in dn.segments.items()
+        ]
+    else:
+        channels = (_channel_layout(basis.digit_matrix(), left, right, None),)
+        twice = basis.twice_site_spin
+        blocks = [
+            BipartiteBlock(2 * k - twice * len(left), len(left), s[1], s[2], (s,), 1.0)
+            for k, s in channels[0].segments.items()
+        ]
+    blocks.sort(key=lambda b: (b.n_left, b.twice_ms_left))
+    return BipartiteIndex(
+        bipartition, basis.kind, basis.n_sites, basis.sector, basis.twice_site_spin,
+        channels, tuple(blocks),
+    )

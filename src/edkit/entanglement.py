@@ -8,18 +8,25 @@ g orthonormal vectors of a manifold, the block of the averaged RDM is
 eigenvalues are the squared singular values of M over g.  No reduced
 density matrix is formed, neither for states nor for manifolds, which keeps
 eigenvalues accurate down to the 1e-16 floor.  All entropies are in bits.
+
+The coefficient matrices come from the channel layouts of the basis module,
+with no per-state index: the vectors are permuted once into the sorted
+(n_up, n_dn, g) layout (spins: (dim, g)) and signed by the gather parities;
+each block is then a slice, reshaped to [u_l, u_r, d_l, d_r, g] and
+transposed to [(u_l, d_l), (g, u_r, d_r)], times its cross sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import xlogy
 
-from .basis import BasisTable, BipartiteIndex, Sector, bipartite_factorize
+from .basis import BasisTable, BipartiteBlock, BipartiteIndex, Sector, bipartite_factorize
 from .lattice import Bipartition, Geometry
 from .solver import DegenerateManifold
 
@@ -111,19 +118,33 @@ def _resolve_index(
     cut: Bipartition | BipartiteIndex,
 ) -> BipartiteIndex:
     if isinstance(cut, BipartiteIndex):
-        if cut.basis_dim != basis.dim:
-            raise EntanglementError("bipartite index was built for a different basis")
+        built = (cut.kind, cut.n_sites, cut.sector, cut.twice_site_spin)
+        given = (basis.kind, basis.n_sites, basis.sector, basis.twice_site_spin)
+        if built != given:
+            raise EntanglementError(
+                f"bipartite index was built for a different basis: {built} is not this "
+                f"basis's (kind, n_sites, sector, twice_site_spin) = {given}"
+            )
         return cut
     return bipartite_factorize(basis, cut)
 
 
-def _coefficient_block(vectors: np.ndarray, block) -> np.ndarray:
-    """M = [C_1 ... C_g]: the block's coefficient matrix of each column of
-    the (dim, g) `vectors`, side by side."""
+def _coefficient_blocks(
+    vectors: np.ndarray, index: BipartiteIndex
+) -> Iterator[tuple[BipartiteBlock, np.ndarray]]:
+    """(block, M) for every block of the index, M = [C_1 ... C_g] the block's
+    coefficient matrices of the g columns of `vectors`, side by side."""
     g = vectors.shape[1]
-    c = np.zeros((block.left_dim, g, block.right_dim))
-    c[block.row, :, block.col] = block.sign[:, None] * vectors[block.global_index]
-    return c.reshape(block.left_dim, g * block.right_dim)
+    orders = [ch.order for ch in index.channels]
+    view = vectors.reshape(*map(len, orders), g)[np.ix_(*orders)]
+    view *= reduce(np.multiply.outer, [ch.sign for ch in index.channels])[..., None]
+    c = len(orders)
+    axes = [*range(0, 2 * c, 2), 2 * c, *range(1, 2 * c, 2)]
+    for block in index.blocks:
+        part = view[tuple(slice(a, a + nl * nr) for a, nl, nr in block.segments)]
+        part = part.reshape(*(d for _, nl, nr in block.segments for d in (nl, nr)), g)
+        m = part.transpose(axes).reshape(block.left_dim, g * block.right_dim)
+        yield block, (m if block.cross_sign > 0 else -m)
 
 
 def _averaged_spectrum(
@@ -133,6 +154,10 @@ def _averaged_spectrum(
 ) -> RDMSpectrum:
     """Spectrum of (1/g) sum_i rho_i over the g orthonormal columns of
     `vectors`: the squared singular values of every block's M, over g."""
+    if vectors.shape[0] != basis.dim:
+        raise EntanglementError(
+            f"vector length {vectors.shape[0]} does not match the basis dimension {basis.dim}"
+        )
     g = vectors.shape[1]
     norms = np.linalg.norm(vectors, axis=0)
     bad = np.abs(norms - 1.0) > 1e-10
@@ -140,8 +165,7 @@ def _averaged_spectrum(
         raise EntanglementError(f"input vector is not normalized (|v| = {norms[bad][0]!r})")
     index = _resolve_index(basis, cut)
     sectors = []
-    for block in index.blocks:
-        m = _coefficient_block(vectors, block)
+    for block, m in _coefficient_blocks(vectors, index):
         sigma = sla.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
         w = sigma * sigma / g  # descending, as LAPACK returns sigma
         w = w[w >= WEIGHT_FLOOR]

@@ -44,6 +44,7 @@ from .basis import (
     _masks_with_popcount,
     _occupancy,
     _raiser,
+    _reorder_sign,
     _spin_codes,
 )
 from .lattice import Geometry
@@ -129,9 +130,7 @@ def _channel_permutation(masks: np.ndarray, n_sites: int, perm: tuple[int, ...])
     occ = _occupancy(masks, n_sites)
     image = np.asarray(perm, dtype=np.int64) - 1
     new = (occ.astype(np.uint64) << image.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
-    inverted = np.triu(image[:, None] > image[None, :], 1).astype(np.float64)
-    sign = np.where(np.einsum("ms,st,mt->m", occ, inverted, occ) % 2 == 0, 1.0, -1.0)
-    return _signed_permutation(np.searchsorted(masks, new), sign)
+    return _signed_permutation(np.searchsorted(masks, new), _reorder_sign(occ, image))
 
 
 def _signed_permutation(perm: np.ndarray, sign: np.ndarray) -> sp.csr_matrix:
@@ -311,7 +310,11 @@ def raising_operator(basis: BasisTable) -> sp.csr_matrix:
         dn_lowered = _masks_with_popcount(n, sec.n_dn - 1)
         c_up = [_annihilator(up_raised, basis.up_masks, i).T for i in range(n)]
         c_dn = [_annihilator(basis.dn_masks, dn_lowered, i) for i in range(n)]
-        return (-1.0) ** sec.n_up * sum(sp.kron(a, b, format="csr") for a, b in zip(c_up, c_dn))
+        terms = [sp.kron(a, b, format="coo") for a, b in zip(c_up, c_dn)]
+        # every (state, site) pair has its own target, so the terms share no
+        # entry and one COO-to-CSR pass sums them
+        data, rows, cols = (np.concatenate([getattr(t, f) for t in terms]) for f in ("data", "row", "col"))
+        return sp.csr_matrix(((-1.0) ** sec.n_up * data, (rows, cols)), shape=terms[0].shape)
     twice = basis.twice_site_spin
     raised = _spin_codes(n, twice + 1, sec.twice_ms + 2, twice)
     return sum(_raiser(basis.spin_codes, raised, i, twice) for i in range(n)).sqrt()

@@ -2,7 +2,9 @@
 
 Everything here works on explicit creation-operator strings: a state is the
 ordered tuple of occupied orbitals (up orbitals 0..n-1, down orbitals
-n..2n-1), and every sign comes from literally sorting operator lists.
+n..2n-1), and every sign comes from literally sorting operator lists.  The
+one exception, `per_state_factors`, is a probe that reads the package's
+coefficient map so tests can compare it with the oracles state by state.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+
+from edkit.entanglement import _coefficient_blocks
 
 
 def sort_parity(seq):
@@ -68,6 +72,36 @@ def brute_block_reorder_sign(up_mask: int, dn_mask: int, n: int, left, right):
     target_keys = [rank[o] for o in canonical]
     _, sign = sort_parity(target_keys)
     return sign
+
+
+def brute_fock_rdm(vector, basis, left, right):
+    """Left reduced density matrix of a sector vector in the full Fock space
+    of the left sites, 4^n_left (or (2s+1)^n_left) square.
+
+    Fermion basis states are operator strings reordered from the canonical
+    (all up, all dn) order into block order (left up, left dn, right up,
+    right dn) by literal sorting; each site then holds one of four local
+    states, up + 2 dn.  Spin states are their digit strings.  Every
+    coefficient lands at (left config, right config) of the Fock-space
+    wavefunction psi, and rho = psi psi^T.
+    """
+    n = basis.n_sites
+    left, right = sorted(left), sorted(right)
+    base = 4 if basis.kind == "fermion" else basis.twice_site_spin + 1
+    block_order = [chan * n + s - 1 for sites in (left, right) for chan in (0, 1) for s in sites]
+    rank = {orb: pos for pos, orb in enumerate(block_order)}
+    psi = np.zeros((base ** len(left), base ** len(right)))
+    for i in range(basis.dim):
+        st = basis.state_at(i)
+        if basis.kind == "fermion":
+            _, sign = sort_parity([rank[o] for o in orbitals_of(st.up_mask, st.dn_mask, n)])
+            digits = [(st.up_mask >> s & 1) + 2 * (st.dn_mask >> s & 1) for s in range(n)]
+        else:
+            sign, digits = 1, st.digits
+        row = sum(digits[s - 1] * base**k for k, s in enumerate(left))
+        col = sum(digits[s - 1] * base**k for k, s in enumerate(right))
+        psi[row, col] += sign * vector[i]
+    return psi @ psi.T
 
 
 def brute_dense_hubbard(geometry, t: float, u: float, basis):
@@ -140,3 +174,19 @@ def brute_dense_heisenberg(geometry, j: float, basis):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(42)
+
+
+def per_state_factors(basis, index):
+    """(block, row, col, sign) arrays over the basis states, read off the
+    package's coefficient map: the dim x dim identity is passed through it,
+    and each of its columns must land as exactly one +-1 entry."""
+    found = []
+    for b, (block, m) in enumerate(_coefficient_blocks(np.eye(basis.dim), index)):
+        row, j = np.nonzero(m)
+        state, col = np.divmod(j, block.right_dim)
+        found.append((np.full(len(row), b), row, col, m[row, j], state))
+    block, row, col, sign, state = (np.concatenate(parts) for parts in zip(*found))
+    assert np.array_equal(np.sort(state), np.arange(basis.dim)), "a state is not one entry"
+    assert np.all(np.abs(sign) == 1)
+    order = np.argsort(state)
+    return block[order], row[order], col[order], sign[order].astype(np.int8)

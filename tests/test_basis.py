@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import brute_block_reorder_sign
+from conftest import brute_block_reorder_sign, per_state_factors
 from edkit.basis import (
     FermionState,
     Sector,
@@ -139,7 +139,7 @@ def test_block_dimension_sum():
             b = enumerate_sector(g, "hubbard", sector)
             fi = bipartite_factorize(b, cut)
             assert sum(bl.left_dim * bl.right_dim for bl in fi.blocks) == b.dim
-            covered = sum(len(bl.global_index) for bl in fi.blocks)
+            covered = len(per_state_factors(b, fi)[0])
             assert covered == b.dim
 
 
@@ -148,11 +148,11 @@ def test_bipartite_injective():
     b = enumerate_sector(g, "hubbard", Sector(4, 0))
     fi = bipartite_factorize(b, half_cut(g, 2))
     seen = set()
-    for bl in fi.blocks:
-        for r, c in zip(bl.row, bl.col):
-            key = (bl.twice_ms_left, bl.n_left, int(r), int(c))
-            assert key not in seen
-            seen.add(key)
+    for k, r, c, _ in zip(*per_state_factors(b, fi)):
+        bl = fi.blocks[k]
+        key = (bl.twice_ms_left, bl.n_left, int(r), int(c))
+        assert key not in seen
+        seen.add(key)
     assert len(seen) == b.dim
 
 
@@ -160,8 +160,9 @@ def test_spin_model_signs_all_positive():
     g = build_chain(6)
     b = enumerate_sector(g, "heisenberg", Sector(None, 0))
     fi = bipartite_factorize(b, half_cut(g, 3))
-    for bl in fi.blocks:
-        assert np.all(bl.sign == 1)
+    block, _, _, sign = per_state_factors(b, fi)
+    for k in range(len(fi.blocks)):
+        assert np.all(sign[block == k] == 1)
 
 
 def test_fermionic_sign_no_left_dn():
@@ -169,10 +170,11 @@ def test_fermionic_sign_no_left_dn():
     g = build_chain(4)
     b = enumerate_sector(g, "hubbard", Sector(4, 0))
     fi = bipartite_factorize(b, half_cut(g, 2))
-    for bl in fi.blocks:
+    block, _, _, sign = per_state_factors(b, fi)
+    for k, bl in enumerate(fi.blocks):
         n_dn_left = (bl.n_left - bl.twice_ms_left) // 2
         if n_dn_left == 0:
-            assert np.all(bl.sign == 1)
+            assert np.all(sign[block == k] == 1)
 
 
 @pytest.mark.parametrize("sector", [Sector(4, 0), Sector(4, 2), Sector(2, 0), Sector(3, 1)])
@@ -182,9 +184,7 @@ def test_fermionic_signs_against_permutation_oracle(sector, cut):
     b = enumerate_sector(g, "hubbard", sector)
     assert b.dim <= 36
     fi = bipartite_factorize(b, Bipartition(*cut))
-    signs = np.zeros(b.dim, dtype=np.int8)
-    for bl in fi.blocks:
-        signs[bl.global_index] = bl.sign
+    signs = per_state_factors(b, fi)[3]
     for i in range(b.dim):
         st = b.state_at(i)
         expected = brute_block_reorder_sign(st.up_mask, st.dn_mask, 4, cut[0], cut[1])

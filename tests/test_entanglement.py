@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import brute_block_reorder_sign, brute_fock_rdm, per_state_factors
 from edkit.basis import Sector, bipartite_factorize, enumerate_sector
 from edkit.entanglement import (
     DegenerateFermiLevelError,
@@ -54,6 +57,67 @@ def test_unnormalized_rejected():
     b = enumerate_sector(g, "hubbard", Sector(2, 2))
     with pytest.raises(EntanglementError, match="normalized"):
         schmidt_spectrum(np.array([2.0]), b, half_cut(g, 1))
+
+
+def test_foreign_index_rejected():
+    # two 6-site sectors of equal dimension 225: the index of one must not
+    # be read as the factorization of the other
+    g = build_chain(6)
+    cut = half_cut(g, 3)
+    v, basis = _ground(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
+    foreign = bipartite_factorize(enumerate_sector(g, "hubbard", Sector(6, 2)), cut)
+    assert foreign.blocks and basis.dim == 225
+    with pytest.raises(EntanglementError, match="different basis"):
+        schmidt_spectrum(v, basis, foreign)
+    own = bipartite_factorize(basis, cut)
+    assert schmidt_spectrum(v, basis, own).total_entropy == pytest.approx(1.405, abs=1e-3)
+
+
+@pytest.mark.parametrize("length", [35, 40])
+def test_vector_length_checked(length):
+    g = build_chain(4)
+    b = enumerate_sector(g, "hubbard", Sector(4, 0))
+    v = np.full(length, 1.0 / np.sqrt(length))
+    with pytest.raises(EntanglementError, match=f"length {length} .* dimension 36"):
+        schmidt_spectrum(v, b, half_cut(g, 2))
+
+
+@st.composite
+def _factorization_cases(draw):
+    """Every sector of 2-6-site fermion and spin-1/2 or spin-1 bases, cut
+    between random site subsets, with a random vector seed."""
+    n = draw(st.integers(2, 6))
+    kind, site_spin = draw(st.sampled_from([("hubbard", 0.5), ("heisenberg", 0.5), ("heisenberg", 1.0)]))
+    if kind == "hubbard":
+        n_up, n_dn = draw(st.integers(0, n)), draw(st.integers(0, n))
+        sector = Sector(n_up + n_dn, n_up - n_dn)
+    else:
+        twice = round(2 * site_spin)
+        sector = Sector(None, 2 * draw(st.integers(0, n * twice)) - n * twice)
+    sites = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(1, n - 1))
+    cut = Bipartition(tuple(sorted(sites[:k])), tuple(sorted(sites[k:])))
+    return enumerate_sector(build_chain(n), kind, sector, site_spin), cut, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=_factorization_cases())
+def test_factorization_matches_operator_string_oracles(case):
+    basis, cut, seed = case
+    index = bipartite_factorize(basis, cut)
+    signs = per_state_factors(basis, index)[3]
+    for i, state in enumerate(basis.states()):
+        if basis.kind == "fermion":
+            expected = brute_block_reorder_sign(state.up_mask, state.dn_mask, basis.n_sites, cut.left, cut.right)
+        else:
+            expected = 1
+        assert signs[i] == expected, f"state {state}"
+    v = np.random.default_rng(seed).standard_normal(basis.dim)
+    v /= np.linalg.norm(v)
+    weights = schmidt_spectrum(v, basis, index).weights
+    oracle = np.linalg.eigvalsh(brute_fock_rdm(v, basis, cut.left, cut.right))[::-1]
+    assert np.abs(weights - oracle[: len(weights)]).max() <= 1e-12
+    assert np.abs(oracle[len(weights):]).max(initial=0.0) <= 1e-12
 
 
 def test_both_sides_equal_and_same_nonzero_weights():
@@ -186,11 +250,13 @@ def test_degenerate_average_matches_explicit_rdm_oracle():
     spec = degenerate_average(man, h.basis, index)
     got = {(s.twice_ms_left, s.n_left): s.weights[s.weights >= 1e-12] for s in spec.sectors}
     oracle_weights = []
-    for block in index.blocks:
+    state_block, row, col, sign = per_state_factors(h.basis, index)
+    for k, block in enumerate(index.blocks):
+        sel = state_block == k
         rho = np.zeros((block.left_dim, block.left_dim))
         for i in range(man.multiplicity):
             c = np.zeros((block.left_dim, block.right_dim))
-            c[block.row, block.col] = block.sign * man.vectors[block.global_index, i]
+            c[row[sel], col[sel]] = sign[sel] * man.vectors[sel, i]
             rho += c @ c.T
         w = np.linalg.eigvalsh(rho / man.multiplicity)[::-1]
         w = w[w >= 1e-12]
