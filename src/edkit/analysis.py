@@ -164,7 +164,7 @@ def _state_entropies(eigenset: EigenSet, basis: BasisTable, bipartition: Biparti
     """Per-state entropies; the members of a degenerate manifold share its averaged-RDM entropy."""
     index = bipartite_factorize(basis, bipartition)
     out = np.empty(eigenset.k)
-    for i, j in _degenerate_ranges(eigenset.values, 1e-9):
+    for i, j in _degenerate_ranges(eigenset.values):
         manifold = DegenerateManifold(float(eigenset.values[i]), eigenset.vectors[:, i:j])
         out[i:j] = degenerate_average(manifold, basis, index).total_entropy
     return out
@@ -184,7 +184,7 @@ def entropy_profile(
     otherwise falls back to "none" with a warning); "energy_bin" averages
     the entropy inside successive energy windows of `bin_width`.
 
-    Each member of a degenerate manifold (energies within a relative 1e-9)
+    Each member of a degenerate manifold (energies within DEGENERATE_RTOL)
     carries the manifold-averaged RDM entropy, `degenerate_average`, so the
     profile does not depend on the basis the eigensolver returns.
     """

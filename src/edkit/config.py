@@ -33,10 +33,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import SMOOTHING_MODES
-from .basis import Sector, check_site_limit
+from .analysis import SMOOTHING_MODES, _default_sector
+from .basis import Sector, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, half_cut, load_geometry
+from .symmetry import SymmetryError, parse_label
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "TASKS"]
 
@@ -206,18 +207,16 @@ def _validate(cfg: RunConfig) -> None:
     entangle_from_archive = task == "entangle" and bool(
         cfg.sections.get("input", {}).get("archive")
     )
-    needs_solve_blocks = task in ("solve", "profile", "dos") or (
-        task == "entangle" and not entangle_from_archive
-    )
+    solves_target = task == "solve" or (task == "entangle" and not entangle_from_archive)
+    needs_solve_blocks = solves_target or task in ("profile", "dos")
     if needs_solve_blocks:
         model = cfg.model()
         geometry = cfg.geometry()
         check_site_limit(geometry.n_sites, model.kind)
         sector = cfg.sector(model)
-        if model.fermionic and sector.n_electrons > 2 * geometry.n_sites:
-            raise ConfigError(
-                f"{sector.n_electrons} electrons do not fit on {geometry.n_sites} sites"
-            )
+        dim = sector_dimension(geometry.n_sites, model.kind, sector, site_spin=model.site_spin)
+        if dim == 0:
+            raise ConfigError(f"sector {sector} is empty on {geometry.n_sites} sites")
     sub = cfg.subspace() if task in ("profile", "dos") else None
     if sub is not None:
         if sub["c2"] not in (1, -1) or sub["eh"] not in (1, -1, None):
@@ -261,3 +260,17 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[target] k must be at least 1")
     if tgt["tol"] <= 0:
         raise ConfigError("[target] tol must be positive")
+    if tgt["seed"] < 0:
+        raise ConfigError(f"[target] seed must be non-negative, got {tgt['seed']}")
+    if solves_target and tgt["label"]:
+        try:
+            label = parse_label(tgt["label"])
+        except SymmetryError as exc:
+            raise ConfigError(f"[target] {exc}") from None
+        if not model.fermionic:
+            raise ConfigError(f"[target] label {tgt['label']} needs a fermionic model, not {model.kind!r}")
+        want = _default_sector(geometry, model, label.twice_ms_highest)
+        if sector != want:
+            raise ConfigError(f"[target] label {tgt['label']} is solved in {want}, not in {sector}")
+    elif solves_target and tgt["k"] > dim:
+        raise ConfigError(f"[target] k = {tgt['k']} exceeds the sector dimension {dim}")

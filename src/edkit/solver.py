@@ -12,14 +12,15 @@ Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
 projector of the operator's sector and its sparse orthonormal orbit basis Q
 (about a quarter of the sector), and `_restrict` forms Q^T H Q.
 `dense_subspace_spectrum` diagonalizes that block densely and
-`lowest_in_label` runs the Lanczos solver on it; both lift the vectors back
-with Q, rotate degenerate manifolds to sharp S^2 and keep the states of one
-total spin by the same rule, `_select_spin`.  Both spin steps use the sparse
-S+ of `symmetry.raising_operator` on whole blocks: `sharpen_spin` forms each
-manifold's S^2 Gram matrix from its raised images, and `_select_spin` takes
-<S^2> of every candidate from one product.  `lowest_in_label` checks the
-returned block against the projector P itself, not against Q: one
-`P @ block` product must leave every vector within 1e-8.
+`lowest_in_label` asks the Lanczos solver for k of its states, doubling the
+count up to k + 40 while fewer than k carry the label's spin; both lift the
+vectors back with Q, rotate degenerate manifolds to sharp S^2 and keep the
+states of one total spin by the same rule, `_select_spin`.  Both spin steps
+use the sparse S+ of `symmetry.raising_operator` on whole blocks:
+`sharpen_spin` forms each manifold's S^2 Gram matrix from its raised images,
+and `_select_spin` takes <S^2> of every candidate from one product.
+`lowest_in_label` checks the returned block against the projector P itself,
+not against Q: one `P @ block` product must leave every vector within 1e-8.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 DENSE_CAP_DEFAULT = 20000
+DEGENERATE_RTOL = 1e-9  # every degenerate grouping: |E - E_first| <= rtol * max(1, |E_first|)
 
 
 class SolverError(RuntimeError):
@@ -163,10 +165,9 @@ def _restrict(operator: SparseOperator, subspace: sp.csr_matrix) -> sp.csr_matri
     return (0.5 * (hs + hs.T)).tocsr()
 
 
-def _select_spin(eigenset: EigenSet, basis: BasisTable, spin: float,
-                 limit: int | None = None) -> list[int]:
-    """Indices of the states with sharp total spin `spin`, lowest first and
-    at most `limit` of them; states of mixed spin are skipped."""
+def _select_spin(eigenset: EigenSet, basis: BasisTable, spin: float) -> list[int]:
+    """Indices of the states with sharp total spin `spin`, lowest first;
+    states of mixed spin are skipped."""
     sel: list[int] = []
     for i, s2 in enumerate(spin_squared(eigenset.vectors, basis)):
         try:
@@ -175,8 +176,6 @@ def _select_spin(eigenset: EigenSet, basis: BasisTable, spin: float,
             continue
         if abs(s - spin) < 0.25:
             sel.append(i)
-            if len(sel) == limit:
-                break
     return sel
 
 
@@ -245,10 +244,10 @@ def lanczos_lowest(
     dim = mat.shape[0]
     if k < 1:
         raise SolverError(f"k must be at least 1, got {k}")
-    if dim == 0:
-        raise SolverError("operator acts on an empty sector")
     if k > dim:
         raise SolverError(f"requested {k} eigenpairs from a dimension-{dim} sector")
+    if k >= dim - 1:  # too small for ARPACK, and complete: no probe
+        return _checked_eigenset(mat, dense_spectrum(mat).vectors[:, :k], tol)
     rng = np.random.default_rng(seed)
     # Gershgorin: every eigenvalue of H lies in [-(c - 1), c - 1].  ARPACK
     # works on H + c, whose spectrum lies in [1, 2c - 1]: it misses an exactly
@@ -263,10 +262,6 @@ def lanczos_lowest(
         return mat @ x + c * x
 
     def lowest(apply: Callable[[np.ndarray], np.ndarray], need: int) -> tuple[np.ndarray, np.ndarray]:
-        if need >= dim - 1:  # too small for ARPACK: diagonalize the same map densely
-            dense = np.column_stack([apply(e) for e in np.eye(dim)])
-            vals, vecs = sla.eigh(0.5 * (dense + dense.T))
-            return vals[:need] - c, vecs[:, :need]
         ncv = min(dim, max(need + 1, min(max_basis, max(2 * need + 1, 20))))
         v0 = rng.standard_normal(dim)
         try:
@@ -289,8 +284,7 @@ def lanczos_lowest(
     # completeness probe: one Krylov space carries a single copy of each
     # degenerate eigenvalue, so look for missed partners below the k-th value
     # in the deflated complement.  ARPACK's lowest single eigenpair needs none.
-    deg_tol = 1e-9
-    while 1 < k < dim - 1:
+    while k > 1:
         def deflated(x: np.ndarray) -> np.ndarray:
             x = np.ravel(x)
             a = vecs.T @ x
@@ -299,7 +293,7 @@ def lanczos_lowest(
 
         theta, x = lowest(deflated, 1)
         evict = int(np.argmax(vals))
-        if theta[0] >= vals[evict] - deg_tol * max(1.0, abs(vals[evict])):
+        if theta[0] >= vals[evict] - DEGENERATE_RTOL * max(1.0, abs(vals[evict])):
             break
         x = x[:, 0] - vecs @ (vecs.T @ x[:, 0])
         vals[evict], vecs[:, evict] = theta[0], x / np.linalg.norm(x)
@@ -327,7 +321,7 @@ def _checked_eigenset(mat, vecs: np.ndarray, tol: float) -> EigenSet:
     return EigenSet(values=vals, vectors=vecs, residuals=res)
 
 
-def _degenerate_ranges(values: np.ndarray, rel_tol: float) -> Iterator[tuple[int, int]]:
+def _degenerate_ranges(values: np.ndarray, rel_tol: float = DEGENERATE_RTOL) -> Iterator[tuple[int, int]]:
     """Index ranges [i, j) of the greedy grouping of consecutive values that
     lie within rel_tol * max(1, |values[i]|) of each group's first value."""
     i = 0
@@ -340,7 +334,7 @@ def _degenerate_ranges(values: np.ndarray, rel_tol: float) -> Iterator[tuple[int
         i = j
 
 
-def group_degenerate(eigenset: EigenSet, rel_tol: float = 1e-9) -> list[DegenerateManifold]:
+def group_degenerate(eigenset: EigenSet, rel_tol: float = DEGENERATE_RTOL) -> list[DegenerateManifold]:
     """Greedy grouping of consecutive eigenvalues into degenerate manifolds."""
     return [
         DegenerateManifold(float(eigenset.values[i]), eigenset.vectors[:, i:j].copy())
@@ -348,7 +342,7 @@ def group_degenerate(eigenset: EigenSet, rel_tol: float = 1e-9) -> list[Degenera
     ]
 
 
-def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -> EigenSet:
+def sharpen_spin(eigenset: EigenSet, basis: BasisTable) -> EigenSet:
     """Rotate each degenerate manifold so that every vector has sharp S^2.
 
     The S^2 matrix elements within a manifold follow from the raised images,
@@ -357,7 +351,7 @@ def sharpen_spin(eigenset: EigenSet, basis: BasisTable, rel_tol: float = 1e-9) -
     m = basis.sector.twice_ms / 2.0
     vectors = eigenset.vectors.copy()
     raising = None  # built at the first degenerate manifold
-    for i, j in _degenerate_ranges(eigenset.values, rel_tol):
+    for i, j in _degenerate_ranges(eigenset.values):
         if j - i > 1:
             if raising is None:
                 raising = raising_operator(basis)
@@ -385,8 +379,9 @@ def lowest_in_label(
     The Lanczos solve runs on Q^T H Q, with Q the orthonormal orbit basis
     of the requested (C2, eh) subspace, and the vectors are lifted back to
     sector coordinates; the sector must be the label's highest-weight
-    sector (2M_S = 2S).  Residuals are checked on the full H, total spin is
-    verified on every candidate and only matching states are returned.
+    sector (2M_S = 2S).  The block solve asks for k states and doubles the
+    count, up to k + 40, while fewer than k carry the label's total spin.
+    Residuals are checked on the full H and only matching states return.
     """
     basis = operator.basis
     want_tm = label.twice_ms_highest
@@ -399,28 +394,22 @@ def lowest_in_label(
     m = q.shape[1]
     hs = _restrict(operator, q)
 
-    solve_k = k + 3
-    cap = min(m, k + 40)
+    solve_k, cap = min(k, m), min(m, k + 40)
     while True:
-        sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed)
+        sub = lanczos_lowest(hs, k=solve_k, tol=tol, seed=seed)
         eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
         eig = sharpen_spin(eig, basis)
-        sel = _select_spin(eig, basis, label.total_spin, limit=k)
-        if len(sel) >= k or solve_k >= cap:
+        sel = _select_spin(eig, basis, label.total_spin)[:k]
+        if len(sel) == k or solve_k >= cap:
             break
         solve_k = min(cap, solve_k * 2)
     if len(sel) < k:
         raise SolverError(
             f"found only {len(sel)} of {k} states with label {format_label(label)} "
-            f"among the lowest {min(solve_k, m)} of the symmetry subspace"
+            f"among the lowest {solve_k} of the symmetry subspace"
         )
     vecs = eig.vectors[:, sel]
     drift = float(np.max(np.linalg.norm(proj.apply(vecs) - vecs, axis=0), initial=0.0))
     if drift > 1e-8:
         raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
-    return EigenSet(
-        values=eig.values[sel],
-        vectors=vecs,
-        residuals=eig.residuals[sel],
-        labels=[format_label(label)] * len(sel),
-    )
+    return EigenSet(eig.values[sel], vecs, eig.residuals[sel], labels=[format_label(label)] * k)

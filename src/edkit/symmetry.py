@@ -337,19 +337,13 @@ def total_spin(vector: np.ndarray, basis: BasisTable, tol: float = 1e-6) -> floa
 
 def _spin_of(s2: float, twice_ms: int, tol: float = 1e-6) -> float:
     """The S, compatible with 2M_S, whose S(S+1) lies within tol of <S^2>."""
-    s_est = 0.5 * (-1.0 + sqrt(1.0 + 4.0 * max(s2, 0.0)))
-    tm = abs(twice_ms)
-    # 2S must match the parity of 2M_S
-    twice_s = round(s_est * 2.0)
-    if (twice_s - tm) % 2 != 0:
-        twice_s += 1 if (round(2 * s_est) - 2 * s_est) <= 0 else -1
-    candidates = {max(tm, twice_s - 2), max(tm, twice_s), twice_s + 2}
-    best = min(candidates, key=lambda k: abs(s2 - (k / 2) * (k / 2 + 1)))
-    if abs(s2 - (best / 2) * (best / 2 + 1)) > tol:
+    twice_s = round(sqrt(1.0 + 4.0 * max(s2, 0.0)) - 1.0)
+    s = twice_s / 2.0
+    if (twice_s - twice_ms) % 2 or twice_s < abs(twice_ms) or abs(s2 - s * (s + 1.0)) > tol:
         raise MixedSpinError(
             f"<S^2> = {s2:.8f} is not within {tol} of any S(S+1) compatible with 2M_S = {twice_ms}"
         )
-    return best / 2.0
+    return s
 
 
 def classify(

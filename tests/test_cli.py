@@ -635,3 +635,73 @@ def test_geometry_emit_memory_error_exit_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "out of memory" in captured.err
+
+
+TARGET_CFG = """\
+[run]
+task = {task}
+output = {out}
+[geometry]
+kind = chain
+n_sites = {n_sites}
+[model]
+kind = {model}
+t = -1.0
+U = 4.0
+[sector]
+n_electrons = {n_electrons}
+twice_ms = {twice_ms}
+[entangle]
+left_size = 2
+[target]
+{target}
+"""
+
+
+def _exits_2_before_build(tmp_path, capsys, monkeypatch, message, **fields):
+    import edkit.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was built before the config was checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+    text = TARGET_CFG.format(out=tmp_path / "out", **fields)
+    assert main(["run", str(_write(tmp_path, "early.cfg", text))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, model, n_sites, n_electrons, twice_ms, target, message",
+    [
+        ("solve", "hubbard", 4, 4, 0, "label = 1_Zz+", "cannot parse symmetry label '1_Zz+'"),
+        ("solve", "heisenberg", 4, 4, 0, "label = 1_Ag+",
+         "label 1_Ag+ needs a fermionic model, not 'heisenberg'"),
+        ("solve", "hubbard", 6, 4, 0, "label = 1_Ag+",
+         "is solved in Sector(n_electrons=6, twice_ms=0), not in Sector(n_electrons=4, twice_ms=0)"),
+        ("entangle", "hubbard", 6, 6, 0, "label = 3_Bu+",
+         "is solved in Sector(n_electrons=6, twice_ms=2), not in Sector(n_electrons=6, twice_ms=0)"),
+        ("solve", "hubbard", 4, 4, 0, "seed = -1", "[target] seed must be non-negative, got -1"),
+        ("solve", "hubbard", 4, 4, 0, "k = 37", "[target] k = 37 exceeds the sector dimension 36"),
+    ],
+    ids=["unparsed-label", "spin-model-label", "label-electrons", "label-ms", "seed", "k"],
+)
+def test_target_rejected_before_build(tmp_path, capsys, monkeypatch, task, model, n_sites,
+                                      n_electrons, twice_ms, target, message):
+    _exits_2_before_build(tmp_path, capsys, monkeypatch, message, task=task, model=model,
+                          n_sites=n_sites, n_electrons=n_electrons, twice_ms=twice_ms,
+                          target=target)
+
+
+@pytest.mark.parametrize(
+    "model, n_sites, n_electrons, twice_ms, message",
+    [
+        ("hubbard", 2, 4, 2, "sector Sector(n_electrons=4, twice_ms=2) is empty on 2 sites"),
+        ("heisenberg", 3, 3, 0, "sector Sector(n_electrons=None, twice_ms=0) is empty on 3 sites"),
+    ],
+    ids=["hubbard-overfull-channel", "heisenberg-parity"],
+)
+def test_empty_sector_rejected_before_build(tmp_path, capsys, monkeypatch, model, n_sites,
+                                            n_electrons, twice_ms, message):
+    _exits_2_before_build(tmp_path, capsys, monkeypatch, message, task="solve", model=model,
+                          n_sites=n_sites, n_electrons=n_electrons, twice_ms=twice_ms,
+                          target="k = 1")

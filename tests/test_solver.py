@@ -309,3 +309,38 @@ def test_lanczos_probe_swaps_in_missed_partner(monkeypatch):
     assert calls[0] == 6 and len(calls) >= 3
     assert np.abs(eig.values - dense_spectrum(h).values[:6]).max() < 1e-9
     assert [m.multiplicity for m in group_degenerate(eig)] == [1, 5]
+
+
+def _eigsh_calls(monkeypatch) -> list:
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    return calls
+
+
+def test_lowest_in_label_k1_is_one_block_solve(monkeypatch):
+    # the block's lowest state carries the label's spin: one ARPACK call for
+    # one state, and a single requested state needs no completeness probe
+    calls = _eigsh_calls(monkeypatch)
+    h = build_model(build_chain(10), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(10, 0))
+    eig = lowest_in_label(h, parse_label("1_Ag+"), k=1, tol=1e-10)
+    assert calls == [1]
+    assert eig.labels == ["1_Ag+"] and eig.residuals[0] <= 1e-10
+
+
+def test_lowest_in_label_grows_until_spin_found(monkeypatch):
+    # the lowest state of the 8-site (C2 -1, eh +1) block is not a singlet,
+    # so the solve doubles its count until a singlet turns up
+    calls = _eigsh_calls(monkeypatch)
+    h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    eig = lowest_in_label(h, parse_label("1_Bu+"), k=1, tol=1e-10)
+    assert calls[0] == 1 and len(calls) > 1
+    assert abs(eig.values[0] - dense_subspace_spectrum(h, -1, 1, spin=0.0).values[0]) < 1e-9
+    assert total_spin(eig.vectors[:, 0], h.basis) == 0.0

@@ -377,3 +377,22 @@ def test_classify_six_site_ppp_ground_state():
     eig = dense_spectrum(h)
     label = classify(eig.vectors[:, 0], h.basis, g)
     assert format_label(label) == "1_Ag+"
+
+
+@pytest.mark.parametrize("twice_ms", range(-4, 5))
+def test_spin_of_boundaries(twice_ms):
+    from edkit.symmetry import _spin_of
+
+    tol = 1e-6
+    for twice_s in range(11):
+        s = twice_s / 2
+        s2 = s * (s + 1)
+        if (twice_s - twice_ms) % 2 or twice_s < abs(twice_ms):
+            with pytest.raises(MixedSpinError):
+                _spin_of(s2, twice_ms, tol)
+            continue
+        for d in (0.9 * tol, -0.9 * tol):
+            assert _spin_of(s2 + d, twice_ms, tol) == s
+        for d in (1.1 * tol, -1.1 * tol):
+            with pytest.raises(MixedSpinError):
+                _spin_of(s2 + d, twice_ms, tol)
