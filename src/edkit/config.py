@@ -37,6 +37,7 @@ from .analysis import SMOOTHING_MODES, _default_sector
 from .basis import Sector, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, half_cut, load_geometry
+from .solver import DENSE_CAP_DEFAULT
 from .symmetry import SymmetryError, parse_label
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "TASKS"]
@@ -274,3 +275,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"[target] label {tgt['label']} is solved in {want}, not in {sector}")
     elif solves_target and tgt["k"] > dim:
         raise ConfigError(f"[target] k = {tgt['k']} exceeds the sector dimension {dim}")
+    elif solves_target and tgt["k"] >= dim - 1 and dim > DENSE_CAP_DEFAULT:
+        raise ConfigError(
+            f"[target] k = {tgt['k']} asks for the full spectrum of a dimension-{dim} "
+            f"sector, above the dense cap {DENSE_CAP_DEFAULT}"
+        )

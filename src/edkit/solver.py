@@ -394,22 +394,28 @@ def lowest_in_label(
     m = q.shape[1]
     hs = _restrict(operator, q)
 
-    solve_k, cap = min(k, m), min(m, k + 40)
+    solve_k = k
+    cap = min(m, k + 40)
     while True:
-        sub = lanczos_lowest(hs, k=solve_k, tol=tol, seed=seed)
+        sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed)
         eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
         eig = sharpen_spin(eig, basis)
         sel = _select_spin(eig, basis, label.total_spin)[:k]
-        if len(sel) == k or solve_k >= cap:
+        if len(sel) >= k or solve_k >= cap:
             break
         solve_k = min(cap, solve_k * 2)
     if len(sel) < k:
         raise SolverError(
             f"found only {len(sel)} of {k} states with label {format_label(label)} "
-            f"among the lowest {solve_k} of the symmetry subspace"
+            f"among the lowest {min(solve_k, m)} of the symmetry subspace"
         )
     vecs = eig.vectors[:, sel]
     drift = float(np.max(np.linalg.norm(proj.apply(vecs) - vecs, axis=0), initial=0.0))
     if drift > 1e-8:
         raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
-    return EigenSet(eig.values[sel], vecs, eig.residuals[sel], labels=[format_label(label)] * k)
+    return EigenSet(
+        values=eig.values[sel],
+        vectors=vecs,
+        residuals=eig.residuals[sel],
+        labels=[format_label(label)] * len(sel),
+    )

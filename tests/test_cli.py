@@ -682,8 +682,12 @@ def _exits_2_before_build(tmp_path, capsys, monkeypatch, message, **fields):
          "is solved in Sector(n_electrons=6, twice_ms=2), not in Sector(n_electrons=6, twice_ms=0)"),
         ("solve", "hubbard", 4, 4, 0, "seed = -1", "[target] seed must be non-negative, got -1"),
         ("solve", "hubbard", 4, 4, 0, "k = 37", "[target] k = 37 exceeds the sector dimension 36"),
+        ("solve", "hubbard", 10, 10, 0, "k = 63503",
+         "[target] k = 63503 asks for the full spectrum of a dimension-63504 sector, "
+         "above the dense cap 20000"),
     ],
-    ids=["unparsed-label", "spin-model-label", "label-electrons", "label-ms", "seed", "k"],
+    ids=["unparsed-label", "spin-model-label", "label-electrons", "label-ms", "seed", "k",
+         "k-above-dense-cap"],
 )
 def test_target_rejected_before_build(tmp_path, capsys, monkeypatch, task, model, n_sites,
                                       n_electrons, twice_ms, target, message):
