@@ -138,26 +138,12 @@ def _paper_smoothing_groups(n: int) -> list[list[int]]:
 
     From each end: 5 states raw, then means over consecutive groups of four
     through the 40th state from that end (eight full groups, states 6-37);
-    the dense middle is averaged in groups of ten.
+    the dense middle is averaged in groups of ten.  The boundaries of the
+    two ends mirror each other as b -> n - b.
     """
-    head: list[list[int]] = [[i] for i in range(5)]
-    pos = 5
-    for _ in range(8):
-        head.append(list(range(pos, pos + 4)))
-        pos += 4
-    tail: list[list[int]] = [[n - 1 - i] for i in range(5)][::-1]
-    tpos = n - 5
-    tail_groups: list[list[int]] = []
-    for _ in range(8):
-        tail_groups.append(list(range(tpos - 4, tpos)))
-        tpos -= 4
-    tail = tail_groups[::-1] + tail
-    middle: list[list[int]] = []
-    m = pos
-    while m < tpos:
-        middle.append(list(range(m, min(m + 10, tpos))))
-        m += 10
-    return head + middle + tail
+    ends = [*range(6), *range(9, 38, 4)]
+    bounds = ends + list(range(47, n - 37, 10)) + [n - b for b in reversed(ends)]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _state_entropies(eigenset: EigenSet, basis: BasisTable, bipartition: Bipartition) -> np.ndarray:
@@ -355,17 +341,9 @@ def spearman_rank(x: Sequence[float], y: Sequence[float]) -> float:
         raise AnalysisError("inputs must be 1-d arrays of equal length")
 
     def ranks(a: np.ndarray) -> np.ndarray:
-        order = np.argsort(a, kind="stable")
-        r = np.empty(len(a))
-        sa = a[order]
-        i = 0
-        while i < len(a):
-            j = i
-            while j < len(a) and sa[j] == sa[i]:
-                j += 1
-            r[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-            i = j
-        return r
+        # a run of c tied values ending at sorted position C has average rank C - (c - 1)/2
+        _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
     rx, ry = ranks(x), ranks(y)
     sx, sy = rx.std(), ry.std()

@@ -252,14 +252,13 @@ def _task_sweep(ctx: RunContext) -> dict:
     target = cfg.target()
     bond = cfg._get_float("geometry", "bond_length", default=1.397)
     if mode == "length":
-        lengths = [int(v) for v in str(cfg._get("sweep", "lengths", required=True)).split()]
+        lengths = cfg._get_ints("sweep", "lengths", required=True)
         profiles = sweep_ground_state({model.kind: model}, lengths, bond_length=bond,
                                       tol=target["tol"], seed=target["seed"])
         prof = profiles[model.kind]
     else:
         n = cfg._get_int("sweep", "n_sites", required=True)
-        blocks_raw = cfg._get("sweep", "blocks")
-        blocks = [int(v) for v in str(blocks_raw).split()] if blocks_raw else None
+        blocks = cfg._get_ints("sweep", "blocks") or None
         prof = sweep_block_size(model, n_sites=n, blocks=blocks, bond_length=bond,
                                 tol=target["tol"], seed=target["seed"])
     ctx.write_csv(
@@ -307,10 +306,14 @@ _TASK_HANDLERS = {
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ConfigError, GeometryError) as exc:
+    except ValueError as exc:  # ConfigError and GeometryError, and any other bad value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    ctx = RunContext(cfg)
+    try:
+        ctx = RunContext(cfg)
+    except OSError as exc:
+        print(f"config error: [run] output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         extra = _TASK_HANDLERS[cfg.task](ctx)
     except (ConfigError, GeometryError, ArchiveError, SymmetryError, ValueError) as exc:

@@ -34,11 +34,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import SMOOTHING_MODES, _default_sector
-from .basis import Sector, check_site_limit, sector_dimension
+from .basis import Sector, SectorError, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, half_cut, load_geometry
 from .solver import DENSE_CAP_DEFAULT
-from .symmetry import SymmetryError, parse_label
+from .symmetry import SymmetryError, check_block, parse_label
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "TASKS"]
 
@@ -92,6 +92,15 @@ class RunConfig:
         except (TypeError, ValueError):
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
 
+    def _get_ints(self, section: str, key: str, required: bool = False) -> list[int] | None:
+        raw = self._get(section, key, required=required)
+        if raw is None:
+            return None
+        try:
+            return [int(v) for v in str(raw).split()]
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be integers, got {raw!r}") from None
+
     def geometry(self) -> Geometry:
         kind = str(self._get("geometry", "kind", required=True)).lower()
         if kind == "chain":
@@ -104,9 +113,10 @@ class RunConfig:
         if kind == "file":
             path = self._get("geometry", "path", required=True)
             resolved = (self.path.parent / path) if not Path(path).is_absolute() else Path(path)
-            if not resolved.exists():
-                raise ConfigError(f"geometry file {resolved} does not exist")
-            return load_geometry(resolved)
+            try:
+                return load_geometry(resolved)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"[geometry] path {resolved} cannot be read ({exc})") from None
         raise ConfigError(f"unknown geometry kind {kind!r}")
 
     def model(self) -> ModelSpec:
@@ -159,20 +169,19 @@ class RunConfig:
         return p
 
 
-def _sections_from_ini(path: Path) -> dict[str, dict[str, str]]:
+def _sections_from_ini(path: Path, text: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
     parser.optionxform = str  # keys are case-sensitive (t vs U)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _sections_from_json(path: Path) -> dict[str, dict[str, str]]:
+def _sections_from_json(path: Path, text: str) -> dict[str, dict[str, str]]:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -187,10 +196,12 @@ def _sections_from_json(path: Path) -> dict[str, dict[str, str]]:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    text = path.read_text(encoding="utf-8").lstrip()
-    sections = _sections_from_json(path) if text.startswith("{") else _sections_from_ini(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read ({exc})") from None
+    parse = _sections_from_json if text.lstrip().startswith("{") else _sections_from_ini
+    sections = parse(path, text)
     run = sections.get("run", {})
     task = run.get("task")
     if task not in TASKS:
@@ -220,10 +231,10 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"sector {sector} is empty on {geometry.n_sites} sites")
     sub = cfg.subspace() if task in ("profile", "dos") else None
     if sub is not None:
-        if sub["c2"] not in (1, -1) or sub["eh"] not in (1, -1, None):
-            raise ConfigError(
-                f"[subspace] c2 and eh must be 1 or -1, got c2 = {sub['c2']}, eh = {sub['eh']}"
-            )
+        try:
+            check_block(geometry, sector, sub["c2"], sub["eh"])
+        except SymmetryError as exc:
+            raise ConfigError(f"[subspace] {exc}") from None
         spin = sub["spin"]
         if spin is not None and not (spin >= 0 and (2 * spin).is_integer()):
             raise ConfigError(f"[subspace] spin must be a non-negative half-integer, got {spin}")
@@ -246,16 +257,16 @@ def _validate(cfg: RunConfig) -> None:
         if mode not in ("length", "block"):
             raise ConfigError(f"[sweep] mode must be 'length' or 'block', got {mode!r}")
         if mode == "length":
-            raw = str(cfg._get("sweep", "lengths", required=True))
-            try:
-                lengths = [int(v) for v in raw.split()]
-            except ValueError:
-                raise ConfigError(f"[sweep] lengths must be integers, got {raw!r}") from None
+            lengths = cfg._get_ints("sweep", "lengths", required=True)
             if any(n % 2 or n < 4 for n in lengths):
                 raise ConfigError("[sweep] lengths must be even integers >= 4")
             check_site_limit(max(lengths, default=0), model.kind)
         else:
-            check_site_limit(cfg._get_int("sweep", "n_sites", required=True), model.kind)
+            n = cfg._get_int("sweep", "n_sites", required=True)
+            check_site_limit(n, model.kind)
+            outside = [b for b in cfg._get_ints("sweep", "blocks") or () if not 1 <= b < n]
+            if outside:
+                raise ConfigError(f"[sweep] blocks must be in 1..{n - 1}, got {outside[0]}")
     tgt = cfg.target()
     if tgt["k"] < 1:
         raise ConfigError("[target] k must be at least 1")
@@ -264,13 +275,14 @@ def _validate(cfg: RunConfig) -> None:
     if tgt["seed"] < 0:
         raise ConfigError(f"[target] seed must be non-negative, got {tgt['seed']}")
     if solves_target and tgt["label"]:
-        try:
-            label = parse_label(tgt["label"])
-        except SymmetryError as exc:
-            raise ConfigError(f"[target] {exc}") from None
         if not model.fermionic:
             raise ConfigError(f"[target] label {tgt['label']} needs a fermionic model, not {model.kind!r}")
-        want = _default_sector(geometry, model, label.twice_ms_highest)
+        try:
+            label = parse_label(tgt["label"])
+            want = _default_sector(geometry, model, label.twice_ms_highest)
+            check_block(geometry, want, label.c2_parity, label.eh_parity)
+        except (SectorError, SymmetryError) as exc:
+            raise ConfigError(f"[target] label {tgt['label']} on {geometry.name!r}: {exc}") from None
         if sector != want:
             raise ConfigError(f"[target] label {tgt['label']} is solved in {want}, not in {sector}")
     elif solves_target and tgt["k"] > dim:

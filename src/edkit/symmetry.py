@@ -21,6 +21,13 @@ module):
   constant, fixed to +1 by the covalent reference, so its matrix is a
   plain permutation.
 
+One rule, `check_block`, says whether a (C2, eh) block exists: each parity
+is +1, -1 or None (generator skipped), C2 needs the geometry's declared
+permutation, and eh a half-filled fermionic sector on an alternant bond
+graph.  The two operators, `projector` and the run config all ask it, so an
+impossible block is refused before any Hamiltonian is built.  A `Projector`
+is its tuple of (signed permutation, character) generators, C2 before eh.
+
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
 of one vector or of a block, is formed with it.  On fermions S+ is a sum of
@@ -40,6 +47,7 @@ import scipy.sparse as sp
 from .basis import (
     BasisTable,
     FermionState,
+    Sector,
     _annihilator,
     _masks_with_popcount,
     _occupancy,
@@ -54,6 +62,7 @@ __all__ = [
     "SymmetryError",
     "MixedSpinError",
     "Projector",
+    "check_block",
     "c2_operator",
     "eh_operator",
     "projector",
@@ -151,8 +160,7 @@ def c2_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
     constant sign the re-sorting of unequal up/down channels would
     otherwise attach to every state.
     """
-    if geometry.c2_perm is None:
-        raise SymmetryError(f"geometry {geometry.name!r} declares no two-fold symmetry")
+    check_block(geometry, basis.sector, 1, None)
     perm = geometry.c2_perm
     n = basis.n_sites
     if basis.kind == "fermion":
@@ -193,13 +201,8 @@ def eh_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
     phase is the same for every state, and the covalent reference, which
     the map leaves in place, fixes it to +1, so every entry is +1.
     """
-    _check_alternant(geometry)
-    if basis.kind != "fermion":
-        raise SymmetryError("electron-hole conjugation is only defined for fermionic bases")
-    n, n_e = basis.n_sites, basis.sector.n_electrons
-    if n_e != n:
-        raise SymmetryError(f"electron-hole conjugation needs half filling (N_e = {n}), got N_e = {n_e}")
-    full = np.uint64((1 << n) - 1)
+    check_block(geometry, basis.sector, None, 1)
+    full = np.uint64((1 << basis.n_sites) - 1)
     # state (i_up, i_dn) -> (position of comp(dn), position of comp(up))
     new_iu = np.searchsorted(basis.up_masks, basis.dn_masks ^ full)
     new_id = np.searchsorted(basis.dn_masks, basis.up_masks ^ full)
@@ -207,39 +210,45 @@ def eh_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
     return _signed_permutation(perm, np.ones(basis.dim))
 
 
-def _check_alternant(geometry: Geometry) -> None:
+def check_block(geometry: Geometry, sector: Sector, c2_parity: int | None, eh_parity: int | None) -> None:
+    """Raise SymmetryError unless the (C2, eh) block exists: a parity is +1,
+    -1 or None (generator skipped), C2 needs the geometry's two-fold
+    permutation, and eh a half-filled fermionic sector (N_e = n_sites) on an
+    alternant bond graph.  It reads no basis, so a config is checked at load."""
+    for name, parity in (("C2", c2_parity), ("electron-hole", eh_parity)):
+        if parity not in (1, -1, None):
+            raise SymmetryError(f"{name} parity must be +1, -1 or None, got {parity!r}")
+    if c2_parity is not None and geometry.c2_perm is None:
+        raise SymmetryError(f"geometry {geometry.name!r} declares no two-fold symmetry")
+    if eh_parity is None:
+        return
     for i, j in geometry.bonds:
         if (i + j) % 2 == 0:
             raise SymmetryError(
                 "electron-hole symmetry needs an alternant bond graph "
                 f"(bond ({i},{j}) connects same-parity sites)"
             )
+    n, n_e = geometry.n_sites, sector.n_electrons
+    if n_e is None:
+        raise SymmetryError("electron-hole conjugation is only defined for fermionic bases")
+    if n_e != n:
+        raise SymmetryError(f"electron-hole conjugation needs half filling (N_e = {n}), got N_e = {n_e}")
 
 
 class Projector:
-    """(1 +- C2)(1 +- J)/4 onto one symmetry-adapted subspace of a sector."""
+    """prod_g (1 + chi_g g)/2 onto one symmetry-adapted subspace of a sector,
+    over (signed permutation matrix g, character chi_g) generators, C2 first."""
 
-    def __init__(
-        self,
-        c2: sp.csr_matrix | None,
-        eh: sp.csr_matrix | None,
-        c2_parity: int,
-        eh_parity: int,
-        dim: int,
-    ) -> None:
-        self.c2 = c2
-        self.eh = eh
-        self.c2_parity = c2_parity
-        self.eh_parity = eh_parity
+    def __init__(self, generators: tuple[tuple[sp.csr_matrix, int], ...], dim: int) -> None:
+        self.generators = generators
         self.dim = dim
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Project a sector vector, or every column of a (dim, k) block."""
+        """Project a sector vector, or every column of a (dim, k) block; the
+        factors act right to left, the last generator's first."""
         out = v
-        if self.eh is not None:
-            out = 0.5 * (out + self.eh_parity * (self.eh @ out))
-        if self.c2 is not None:
-            out = 0.5 * (out + self.c2_parity * (self.c2 @ out))
+        for op, parity in reversed(self.generators):
+            out = 0.5 * (out + parity * (op @ out))
         return out
 
     def orbit_basis(self, tol: float = 1e-12) -> sp.csr_matrix:
@@ -254,10 +263,9 @@ class Projector:
         # folded into the sign; column i of a signed permutation matrix holds
         # its one entry, sign[i], in row perm[i]
         group = [(np.arange(self.dim), np.ones(self.dim))]
-        for op, parity in ((self.c2, self.c2_parity), (self.eh, self.eh_parity)):
-            if op is not None:
-                op = op.tocsc()
-                group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
+        for op, parity in self.generators:
+            op = op.tocsc()
+            group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
         perms = np.array([p for p, _ in group])
         signs = np.array([s for _, s in group])
         reps = np.flatnonzero(perms.min(axis=0) == np.arange(self.dim))
@@ -279,17 +287,11 @@ def projector(
     c2_parity: int | None,
     eh_parity: int | None,
 ) -> Projector:
-    """Build the projector onto the requested (C2, eh) parities.
-
-    Either parity may be None to skip that symmetry (e.g. eh on spin models
-    or on non-alternant geometries).
-    """
-    for name, parity in (("C2", c2_parity), ("electron-hole", eh_parity)):
-        if parity not in (1, -1, None):
-            raise SymmetryError(f"{name} parity must be +1, -1 or None, got {parity!r}")
-    c2 = c2_operator(basis, geometry) if c2_parity is not None else None
-    eh = eh_operator(basis, geometry) if eh_parity is not None else None
-    return Projector(c2, eh, c2_parity or 0, eh_parity or 0, basis.dim)
+    """Build the projector onto the requested (C2, eh) parities; either may
+    be None to skip that symmetry (see `check_block`)."""
+    check_block(geometry, basis.sector, c2_parity, eh_parity)
+    ops = ((c2_operator, c2_parity), (eh_operator, eh_parity))
+    return Projector(tuple((op(basis, geometry), chi) for op, chi in ops if chi is not None), basis.dim)
 
 
 # --- total spin ---------------------------------------------------------------

@@ -81,6 +81,33 @@ def test_paper_smoothing_group_boundaries():
     assert flat == list(range(200))  # partition, order preserved
 
 
+def _paper_smoothing_groups_nested_loops(n):
+    """Reference: the paper smoothing groups built end by end with loops."""
+    head = [[i] for i in range(5)]
+    pos = 5
+    for _ in range(8):
+        head.append(list(range(pos, pos + 4)))
+        pos += 4
+    tail = [[n - 1 - i] for i in range(5)][::-1]
+    tpos = n - 5
+    tail_groups = []
+    for _ in range(8):
+        tail_groups.append(list(range(tpos - 4, tpos)))
+        tpos -= 4
+    tail = tail_groups[::-1] + tail
+    middle = []
+    m = pos
+    while m < tpos:
+        middle.append(list(range(m, min(m + 10, tpos))))
+        m += 10
+    return head + middle + tail
+
+
+def test_paper_smoothing_groups_match_nested_loop_rule():
+    for n in range(90, 401):
+        assert _paper_smoothing_groups(n) == _paper_smoothing_groups_nested_loops(n), n
+
+
 def test_paper_smoothing_conserves_mass():
     g = build_chain(6)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
@@ -183,6 +210,11 @@ def test_spearman_synthetic():
     assert spearman_rank([1, 2, 3, 4], [1, 4, 9, 16]) == pytest.approx(1.0, abs=1e-12)
     assert spearman_rank([1, 2, 3, 4], [5, 5, 5, 5]) == 0.0
     assert spearman_rank([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_spearman_partial_ties():
+    # x ranks 1, 2.5, 2.5, 4 against y ranks 1, 3, 2, 4
+    assert spearman_rank([1, 2, 2, 3], [1, 3, 2, 4]) == np.sqrt(0.9)
 
 
 def test_entropy_vs_logdos_structure():

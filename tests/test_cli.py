@@ -709,3 +709,132 @@ def test_empty_sector_rejected_before_build(tmp_path, capsys, monkeypatch, model
     _exits_2_before_build(tmp_path, capsys, monkeypatch, message, task="solve", model=model,
                           n_sites=n_sites, n_electrons=n_electrons, twice_ms=twice_ms,
                           target="k = 1")
+
+
+def _never_build(monkeypatch):
+    import edkit.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the Hamiltonian was built before the config was checked")
+
+    monkeypatch.setattr(cli, "build_model", never)
+
+
+# four sites with unequal bond lengths: alternant, but no two-fold symmetry
+LOPSIDED_GEOM = "# lopsided\nsites 4\n1 0 0 0\n2 1.2 0 0\n3 2.6 0 0\n4 4.1 0 0\nbonds 3\n1 2\n2 3\n3 4\n"
+
+BLOCK_CFG = """\
+[run]
+task = {task}
+output = {out}
+[geometry]
+{geometry}
+[model]
+kind = {model}
+t = -1.0
+U = 4.0
+[sector]
+n_electrons = {n_electrons}
+twice_ms = 0
+[entangle]
+left_size = 2
+{block}
+"""
+
+
+@pytest.mark.parametrize(
+    "task, geometry, model, n_electrons, block, message",
+    [
+        ("dos", "kind = chain\nn_sites = 6", "heisenberg", 6, "[subspace]\neh = 1",
+         "[subspace] electron-hole conjugation is only defined for fermionic bases"),
+        ("profile", "kind = chain\nn_sites = 6", "hubbard", 4, "[subspace]\neh = 1",
+         "[subspace] electron-hole conjugation needs half filling (N_e = 6), got N_e = 4"),
+        ("profile", "kind = file\npath = {geom}", "hubbard", 4, "[subspace]\nc2 = 1",
+         "[subspace] geometry 'lopsided' declares no two-fold symmetry"),
+        ("solve", "kind = file\npath = {geom}", "hubbard", 4, "[target]\nlabel = 1_Ag+",
+         "[target] label 1_Ag+ on 'lopsided': geometry 'lopsided' declares no two-fold symmetry"),
+        ("solve", "kind = icosahedron", "hubbard", 12, "[target]\nlabel = 1_Ag+",
+         "[target] label 1_Ag+ on 'icosahedron': electron-hole symmetry needs an alternant "
+         "bond graph"),
+    ],
+    ids=["eh-spin-model", "eh-away-from-half-filling", "c2-undeclared", "label-c2-undeclared",
+         "label-not-alternant"],
+)
+def test_block_rejected_before_build(tmp_path, capsys, monkeypatch, task, geometry, model,
+                                     n_electrons, block, message):
+    _never_build(monkeypatch)
+    geom = _write(tmp_path, "lopsided.geom", LOPSIDED_GEOM)
+    text = BLOCK_CFG.format(task=task, out=tmp_path / "out", geometry=geometry.format(geom=geom),
+                            model=model, n_electrons=n_electrons, block=block)
+    assert main(["run", str(_write(tmp_path, "block.cfg", text))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "geometry, n_electrons, label, message",
+    [
+        ("kind = chain\nn_sites = 5", 5, "3_Bu+",
+         "[target] label 3_Bu+ on 'chain-5': twice_ms=2 impossible for n_electrons=5"),
+        ("kind = file\npath = {geom}", 3, "1_Ag+",
+         "[target] label 1_Ag+ on 'three sites': twice_ms=0 impossible for n_electrons=3"),
+    ],
+    ids=["3Bu+-on-5-sites", "1Ag+-on-3-site-file"],
+)
+def test_label_without_its_sector_exit_2(tmp_path, capsys, monkeypatch, geometry, n_electrons,
+                                         label, message):
+    _never_build(monkeypatch)
+    geom = _write(tmp_path, "three.geom",
+                  "# three sites\nsites 3\n1 0 0 0\n2 1.397 0 0\n3 2.794 0 0\nbonds 2\n1 2\n2 3\n")
+    text = BLOCK_CFG.format(task="solve", out=tmp_path / "out", geometry=geometry.format(geom=geom),
+                            model="hubbard", n_electrons=n_electrons, block=f"[target]\nlabel = {label}")
+    text = text.replace("twice_ms = 0", "twice_ms = 1")  # the odd electron count's lowest |M_S|
+    assert main(["run", str(_write(tmp_path, "label.cfg", text))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("config-not-utf8", "config file {cfg} cannot be read"),
+        ("config-is-directory", "config file {cfg} cannot be read"),
+        ("geometry-not-utf8", "[geometry] path {geom} cannot be read"),
+        ("geometry-is-directory", "[geometry] path {geom} cannot be read"),
+        ("output-is-file", "[run] output: "),
+    ],
+    ids=["config-not-utf8", "config-is-directory", "geometry-not-utf8", "geometry-is-directory",
+         "output-is-file"],
+)
+def test_unusable_run_paths_exit_2(tmp_path, capsys, case, message):
+    cfg, geom, out = tmp_path / "run.cfg", tmp_path / "chain.geom", tmp_path / "out"
+    cfg.write_text(SOLVE_CFG.format(out=out).replace("kind = chain\nn_sites = 2\n",
+                                                     f"kind = file\npath = {geom}\n"))
+    geom.write_text("sites 2\n1 0 0 0\n2 1.0 0 0\nbonds 1\n1 2\n")
+    target = {"config": cfg, "geometry": geom, "output": out}[case.split("-")[0]]
+    if case.endswith("not-utf8"):
+        target.write_bytes(b"\xff" + target.read_bytes())
+    elif case.endswith("is-directory"):
+        target.unlink()
+        target.mkdir()
+    else:
+        target.write_text("a file, not a directory\n")
+    assert main(["run", str(cfg)]) == 2
+    assert message.format(cfg=cfg, geom=geom) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [("1 x", "[sweep] blocks must be integers, got '1 x'"),
+     ("0 9", "[sweep] blocks must be in 1..5, got 0")],
+    ids=["not-integers", "out-of-range"],
+)
+def test_sweep_blocks_checked_at_load(tmp_path, capsys, monkeypatch, blocks, message):
+    import edkit.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before the config was checked")
+
+    monkeypatch.setattr(cli, "sweep_block_size", never)
+    text = (f"[run]\ntask = sweep\noutput = {tmp_path / 'out'}\n[model]\nkind = heisenberg\n"
+            f"[sweep]\nmode = block\nn_sites = 6\nblocks = {blocks}\n")
+    assert main(["run", str(_write(tmp_path, "sweep.cfg", text))]) == 2
+    assert message in capsys.readouterr().err

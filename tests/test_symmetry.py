@@ -209,10 +209,9 @@ def _orbit_basis_loop(proj, tol=1e-12):
     """Per-state reference: visit states in ascending order and normalize
     the projection of each one not yet seen in an earlier orbit."""
     group = [(np.arange(proj.dim), np.ones(proj.dim))]
-    for op, parity in ((proj.c2, proj.c2_parity), (proj.eh, proj.eh_parity)):
-        if op is not None:
-            op = op.tocsc()  # column i: sign[i] in row perm[i]
-            group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
+    for op, parity in proj.generators:
+        op = op.tocsc()  # column i: sign[i] in row perm[i]
+        group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
     visited = np.zeros(proj.dim, dtype=bool)
     columns = []
     for i in range(proj.dim):
@@ -242,6 +241,8 @@ def test_orbit_basis_reconstructs_projector(rng):
         (chain6, "hubbard", Sector(6, 2), -1, 1),
         # spin sector, C2 only
         (ico, "heisenberg", Sector(None, 0), 1, None),
+        # eh only
+        (chain6, "hubbard", Sector(6, 0), None, 1),
     ]
     for g, kind, sector, c2, eh in cases:
         b = enumerate_sector(g, kind, sector)
