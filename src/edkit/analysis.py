@@ -12,12 +12,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .basis import BasisTable, Sector, bipartite_factorize
-from .entanglement import degenerate_average, schmidt_spectrum
+from .basis import BasisTable, Sector
+from .entanglement import _manifold_entropies, schmidt_spectrum
 from .hamiltonian import ModelSpec, build_model
 from .lattice import Bipartition, Geometry, build_chain, half_cut
 from .solver import (
-    DegenerateManifold,
     EigenSet,
     _degenerate_ranges,
     dense_subspace_spectrum,
@@ -148,12 +147,9 @@ def _paper_smoothing_groups(n: int) -> list[list[int]]:
 
 def _state_entropies(eigenset: EigenSet, basis: BasisTable, bipartition: Bipartition) -> np.ndarray:
     """Per-state entropies; the members of a degenerate manifold share its averaged-RDM entropy."""
-    index = bipartite_factorize(basis, bipartition)
-    out = np.empty(eigenset.k)
-    for i, j in _degenerate_ranges(eigenset.values):
-        manifold = DegenerateManifold(float(eigenset.values[i]), eigenset.vectors[:, i:j])
-        out[i:j] = degenerate_average(manifold, basis, index).total_entropy
-    return out
+    ranges = list(_degenerate_ranges(eigenset.values))
+    entropies = _manifold_entropies(eigenset.vectors, basis, bipartition, ranges)
+    return np.repeat(entropies, [j - i for i, j in ranges])
 
 
 def entropy_profile(

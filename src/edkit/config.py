@@ -238,6 +238,20 @@ def _validate(cfg: RunConfig) -> None:
         spin = sub["spin"]
         if spin is not None and not (spin >= 0 and (2 * spin).is_integer()):
             raise ConfigError(f"[subspace] spin must be a non-negative half-integer, got {spin}")
+        if spin is not None:
+            n, n_e, twice_s = geometry.n_sites, sector.n_electrons, round(2 * spin)
+            # largest 2S: every singly occupied site (every spin site) aligned
+            most = min(n_e, 2 * n - n_e) if model.fermionic else n * round(2 * model.site_spin)
+            if not abs(sector.twice_ms) <= twice_s <= most or (twice_s - sector.twice_ms) % 2:
+                raise ConfigError(
+                    f"[subspace] spin = {spin} does not occur in {sector} on {n} sites: "
+                    f"it needs |2M_S| <= 2S <= {most} and 2S - 2M_S even"
+                )
+    elif task in ("profile", "dos") and dim > DENSE_CAP_DEFAULT:
+        raise ConfigError(
+            f"the full spectrum of the dimension-{dim} sector is above the dense cap "
+            f"{DENSE_CAP_DEFAULT}; choose a symmetry block with [subspace]"
+        )
     if task in ("sector-table", "histogram") or entangle_from_archive:
         cfg.archive_path()
     if task in ("sector-table", "histogram", "entangle", "profile", "dos"):

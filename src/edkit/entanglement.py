@@ -2,18 +2,25 @@
 
 Because electron count and z-spin are additive across a cut, the
 coefficient matrix of a sector state is block diagonal over left-block
-sectors.  One path serves single states and degenerate manifolds: for the
-g orthonormal vectors of a manifold, the block of the averaged RDM is
-(1/g) sum_i C_i C_i^T = M M^T / g with M = [C_1 ... C_g], so its
-eigenvalues are the squared singular values of M over g.  No reduced
-density matrix is formed, neither for states nor for manifolds, which keeps
-eigenvalues accurate down to the 1e-16 floor.  All entropies are in bits.
+sectors.  One path serves single states, degenerate manifolds and whole
+spectra: for the g orthonormal vectors of a manifold, the block of the
+averaged RDM is (1/g) sum_i C_i C_i^T = M M^T / g with M = [C_1 ... C_g],
+so its eigenvalues are the squared singular values of M over g.  No reduced
+density matrix is formed, which keeps eigenvalues accurate down to the
+1e-16 floor.  All entropies are in bits.
 
 The coefficient matrices come from the channel layouts of the basis module,
 with no per-state index: the vectors are permuted once into the sorted
-(n_up, n_dn, g) layout (spins: (dim, g)) and signed by the gather parities;
-each block is then a slice, reshaped to [u_l, u_r, d_l, d_r, g] and
-transposed to [(u_l, d_l), (g, u_r, d_r)], times its cross sign.
+(n_up, n_dn, K) layout (spins: (dim, K)) and signed by the gather parities;
+each block is then a slice, reshaped to [u_l, u_r, d_l, d_r, K] and
+transposed to [(u_l, d_l), (K, u_r, d_r)], times its cross sign.  One pass
+over the blocks serves every manifold among the K columns: the M of the
+manifold [i, j) is the column slice [i, j) of the block's middle axis.
+
+Entropies are summed left to right, -w log2 w over a block's weights and
+then the blocks in index order, so a spectrum's `total_entropy` and the
+entropy `_manifold_entropies` gives its manifold in a whole spectrum agree
+bit for bit, whatever zeros pad a row.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgesdd, dgesdd_lwork
 from scipy.special import xlogy
 
 from .basis import BasisTable, BipartiteBlock, BipartiteIndex, Sector, bipartite_factorize
@@ -56,10 +64,18 @@ class DegenerateFermiLevelError(EntanglementError):
     is ambiguous and an explicit filling rule must be chosen."""
 
 
+def _row_entropies(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w along the last axis, added left to right, so that zeros
+    padded on the right change no bit."""
+    terms = xlogy(w, w)
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return -np.cumsum(terms, axis=-1)[..., -1] / np.log(2.0)
+
+
 def entropy_bits(weights: np.ndarray) -> float:
     """-sum w log2 w with 0 log 0 = 0."""
-    w = np.asarray(weights, dtype=float)
-    return float(-np.sum(xlogy(w, w)) / np.log(2.0))
+    return float(_row_entropies(np.asarray(weights, dtype=float).ravel()))
 
 
 @dataclass(frozen=True)
@@ -96,7 +112,9 @@ class RDMSpectrum:
 
     @property
     def total_entropy(self) -> float:
-        return float(sum(s.partial_entropy for s in self.sectors))
+        # left to right from +0.0, in block order, as `_manifold_entropies` adds them;
+        # `sum` would differ, as Python 3.12 sums floats with compensation
+        return float(reduce(float.__add__, (s.partial_entropy for s in self.sectors), 0.0))
 
     @property
     def entropy_bound(self) -> float:
@@ -147,32 +165,84 @@ def _coefficient_blocks(
         yield block, (m if block.cross_sign > 0 else -m)
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Descending singular values from LAPACK dgesdd with the optimal
+    workspace, as `scipy.linalg.svd` computes them.  SciPy's LAPACK, not
+    NumPy's: the two bundle separate OpenBLAS builds, and NumPy's threads
+    stall on SciPy's, which still spin after an ARPACK solve."""
+    lwork = int(dgesdd_lwork(*a.shape, compute_uv=0, full_matrices=0)[0])
+    _, sigma, _, info = dgesdd(a, compute_uv=0, full_matrices=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
+    return sigma
+
+
+def _weight_rows(
+    vectors: np.ndarray,
+    basis: BasisTable,
+    cut: Bipartition | BipartiteIndex,
+    ranges: Sequence[tuple[int, int]],
+) -> Iterator[tuple[BipartiteBlock, np.ndarray]]:
+    """(block, W) for every block of the cut.  Row r of W holds the block's
+    eigenvalues of the RDM averaged over the orthonormal columns [i, j) =
+    ranges[r] of `vectors`: the squared singular values of that manifold's M
+    over g = j - i, descending, zero below WEIGHT_FLOOR and zero-padded on
+    the right.  The vectors are permuted once for all ranges."""
+    if vectors.shape[0] != basis.dim:
+        raise EntanglementError(
+            f"vector length {vectors.shape[0]} does not match the basis dimension {basis.dim}"
+        )
+    norms = np.linalg.norm(vectors, axis=0)
+    bad = np.abs(norms - 1.0) > 1e-10
+    if bad.any():
+        raise EntanglementError(f"input vector is not normalized (|v| = {float(norms[bad][0])!r})")
+    index = _resolve_index(basis, cut)
+    widest = max((j - i for i, j in ranges), default=0)
+    for block, m in _coefficient_blocks(vectors, index):
+        left, right = block.left_dim, block.right_dim
+        m = m.reshape(left, vectors.shape[1], right)
+        w = np.zeros((len(ranges), min(left, widest * right)))
+        for r, (i, j) in enumerate(ranges):
+            sigma = _singular_values(m[:, i:j].reshape(left, -1))
+            w[r, : len(sigma)] = sigma * sigma / (j - i)
+        w[w < WEIGHT_FLOOR] = 0.0
+        yield block, w
+
+
 def _averaged_spectrum(
     vectors: np.ndarray,
     basis: BasisTable,
     cut: Bipartition | BipartiteIndex,
 ) -> RDMSpectrum:
-    """Spectrum of (1/g) sum_i rho_i over the g orthonormal columns of
-    `vectors`: the squared singular values of every block's M, over g."""
-    if vectors.shape[0] != basis.dim:
-        raise EntanglementError(
-            f"vector length {vectors.shape[0]} does not match the basis dimension {basis.dim}"
-        )
-    g = vectors.shape[1]
-    norms = np.linalg.norm(vectors, axis=0)
-    bad = np.abs(norms - 1.0) > 1e-10
+    """Spectrum of (1/g) sum_i rho_i over the g orthonormal columns of `vectors`."""
+    sectors = tuple(
+        SectorSpectrum(block.twice_ms_left, block.n_left, w[0][w[0] > 0])
+        for block, w in _weight_rows(vectors, basis, cut, [(0, vectors.shape[1])])
+        if w[0].any()
+    )
+    bipartition = cut.bipartition if isinstance(cut, BipartiteIndex) else cut
+    lf, rf = _fock_dims(basis, bipartition)
+    return RDMSpectrum(sectors=sectors, left_fock_dim=lf, right_fock_dim=rf)
+
+
+def _manifold_entropies(
+    vectors: np.ndarray,
+    basis: BasisTable,
+    cut: Bipartition | BipartiteIndex,
+    ranges: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """Averaged-RDM entropy of every manifold [i, j) of `ranges` among the
+    orthonormal columns of `vectors`, bit for bit the `total_entropy` of its
+    `degenerate_average`, from one pass over the blocks."""
+    total = np.zeros(len(ranges))
+    weight = np.zeros(len(ranges))
+    for _, w in _weight_rows(vectors, basis, cut, ranges):
+        total += _row_entropies(w)
+        weight += w.sum(axis=1)
+    bad = np.abs(weight - 1.0) > 1e-10
     if bad.any():
-        raise EntanglementError(f"input vector is not normalized (|v| = {norms[bad][0]!r})")
-    index = _resolve_index(basis, cut)
-    sectors = []
-    for block, m in _coefficient_blocks(vectors, index):
-        sigma = sla.svd(m, compute_uv=False) if min(m.shape) else np.zeros(0)
-        w = sigma * sigma / g  # descending, as LAPACK returns sigma
-        w = w[w >= WEIGHT_FLOOR]
-        if w.size:
-            sectors.append(SectorSpectrum(block.twice_ms_left, block.n_left, w))
-    lf, rf = _fock_dims(basis, index.bipartition)
-    return RDMSpectrum(sectors=tuple(sectors), left_fock_dim=lf, right_fock_dim=rf)
+        raise EntanglementError(f"RDM eigenvalues sum to {float(weight[bad][0])!r}, expected 1")
+    return total
 
 
 def schmidt_spectrum(

@@ -771,6 +771,37 @@ def test_block_rejected_before_build(tmp_path, capsys, monkeypatch, task, geomet
 
 
 @pytest.mark.parametrize(
+    "twice_ms, spin, message",
+    [
+        (2, "0", "[subspace] spin = 0.0 does not occur in Sector(n_electrons=6, twice_ms=2) on 6 "
+         "sites: it needs |2M_S| <= 2S <= 6 and 2S - 2M_S even"),
+        (0, "0.5", "[subspace] spin = 0.5 does not occur in Sector(n_electrons=6, twice_ms=0)"),
+        (0, "3.5", "[subspace] spin = 3.5 does not occur in Sector(n_electrons=6, twice_ms=0)"),
+        (2, "4", "[subspace] spin = 4.0 does not occur in Sector(n_electrons=6, twice_ms=2)"),
+    ],
+    ids=["below-ms", "wrong-parity", "wrong-parity-above-max", "above-max"],
+)
+def test_subspace_spin_checked_against_sector(tmp_path, capsys, monkeypatch, twice_ms, spin,
+                                              message):
+    _never_build(monkeypatch)
+    text = BLOCK_CFG.format(task="profile", out=tmp_path / "out",
+                            geometry="kind = chain\nn_sites = 6", model="hubbard", n_electrons=6,
+                            block=f"[subspace]\nc2 = 1\nspin = {spin}")
+    text = text.replace("twice_ms = 0", f"twice_ms = {twice_ms}")
+    assert main(["run", str(_write(tmp_path, "spin.cfg", text))]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["profile", "dos"])
+def test_full_spectrum_above_dense_cap_exit_2(tmp_path, capsys, monkeypatch, task):
+    _exits_2_before_build(tmp_path, capsys, monkeypatch,
+                          "the full spectrum of the dimension-63504 sector is above the dense cap "
+                          "20000; choose a symmetry block with [subspace]",
+                          task=task, model="hubbard", n_sites=10, n_electrons=10, twice_ms=0,
+                          target="k = 1")
+
+
+@pytest.mark.parametrize(
     "geometry, n_electrons, label, message",
     [
         ("kind = chain\nn_sites = 5", 5, "3_Bu+",

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_block_reorder_sign, brute_fock_rdm, per_state_factors
+from edkit.analysis import entropy_profile, subspace_spectrum
 from edkit.basis import Sector, bipartite_factorize, enumerate_sector
 from edkit.entanglement import (
     DegenerateFermiLevelError,
     EntanglementError,
+    _manifold_entropies,
+    _weight_rows,
     decade_histogram,
     degenerate_average,
     entropy_both_sides,
@@ -17,7 +20,7 @@ from edkit.entanglement import (
 )
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import Bipartition, Geometry, build_chain, build_icosahedron, half_cut
-from edkit.solver import DegenerateManifold, dense_spectrum, group_degenerate, lanczos_lowest
+from edkit.solver import DegenerateManifold, EigenSet, dense_spectrum, group_degenerate, lanczos_lowest
 
 
 def _ground(geometry, spec, sector):
@@ -300,3 +303,50 @@ def test_free_fermion_degenerate_fermi_level():
 def test_entropy_bits_handles_zeros():
     assert entropy_bits(np.array([1.0, 0.0])) == 0.0
     assert entropy_bits(np.array([0.5, 0.5])) == pytest.approx(1.0, abs=1e-14)
+
+
+# column ranges of sizes g = 1, 2, 3, 1, 3, 2, averaged in one batched call
+MIXED_RANGES = [(0, 1), (1, 3), (3, 6), (6, 7), (7, 10), (10, 12)]
+
+
+@pytest.mark.parametrize("case", ["hubbard6 sector", "icosahedron C2+ S=0 block"])
+def test_batched_manifolds_match_fock_rdm_oracle(case):
+    if case.startswith("hubbard6"):
+        g = build_chain(6)
+        h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
+        vectors, basis, cut = dense_spectrum(h).vectors, h.basis, half_cut(g, 3)
+    else:
+        ico = build_icosahedron()
+        spec = ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5)
+        eig, basis = subspace_spectrum(ico, spec, 0, 1, None, spin=0.0)
+        vectors, cut = eig.vectors, half_cut(ico, 6)
+    rows = list(_weight_rows(vectors, basis, cut, MIXED_RANGES))
+    entropies = _manifold_entropies(vectors, basis, cut, MIXED_RANGES)
+    for r, (i, j) in enumerate(MIXED_RANGES):
+        weights = np.sort(np.concatenate([w[r] for _, w in rows]))[::-1]
+        rho = sum(brute_fock_rdm(vectors[:, c], basis, cut.left, cut.right) for c in range(i, j))
+        oracle = np.linalg.eigvalsh(rho / (j - i))[::-1]
+        n = min(len(weights), len(oracle))
+        assert np.abs(weights[:n] - oracle[:n]).max() <= 1e-12
+        assert np.abs(np.concatenate([weights[n:], oracle[n:]])).max(initial=0.0) <= 1e-12
+        manifold = DegenerateManifold(0.0, vectors[:, i:j])
+        assert entropies[r] == degenerate_average(manifold, basis, cut).total_entropy
+
+
+def test_batched_entropies_keep_the_checks():
+    g = build_chain(4)
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
+    eig, cut = dense_spectrum(h), half_cut(g, 2)
+    # no columns: an empty profile, while an empty manifold has no average
+    empty = EigenSet(np.zeros(0), np.zeros((h.dim, 0)), np.zeros(0))
+    assert entropy_profile(empty, h.basis, cut).y.shape == (0,)
+    with pytest.raises(EntanglementError, match="empty degenerate manifold"):
+        degenerate_average(DegenerateManifold(0.0, np.zeros((h.dim, 0))), h.basis, cut)
+    with pytest.raises(EntanglementError, match="sum to 0.0, expected 1"):
+        _manifold_entropies(eig.vectors, h.basis, cut, [(0, 1), (1, 1)])
+    scaled = eig.vectors.copy()
+    scaled[:, 5] *= 2.0
+    with pytest.raises(EntanglementError, match=r"not normalized \(\|v\| = 2.0"):
+        entropy_profile(EigenSet(eig.values, scaled, eig.residuals), h.basis, cut)
+    with pytest.raises(EntanglementError, match="length 35 does not match the basis dimension 36"):
+        entropy_profile(EigenSet(eig.values, eig.vectors[:-1], eig.residuals), h.basis, cut)
