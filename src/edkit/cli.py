@@ -134,7 +134,11 @@ def _task_solve(ctx: RunContext) -> dict:
     geometry, model, sector, target, _, eig = _solve_eigenset(ctx.cfg)
     out = ctx.path("eigenpairs.edarch")
     write_archive(out, eig, geometry, model, sector, tol=target["tol"], seed=target["seed"])
-    return {"eigenvalues": [float(v) for v in eig.values], "labels": eig.labels}
+    return {
+        "eigenvalues": [float(v) for v in eig.values],
+        "labels": eig.labels,
+        "matvecs": eig.matvecs,
+    }
 
 
 def _archive_state(ctx: RunContext, left: int) -> tuple[int, str | None, RDMSpectrum]:

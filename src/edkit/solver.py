@@ -1,12 +1,21 @@
-"""Eigensolvers: dense full spectra and ARPACK Lanczos for large sectors.
+"""Eigensolvers: dense full spectra and Lanczos for large sectors.
 
-`lanczos_lowest` runs implicitly restarted Lanczos (ARPACK, through
-scipy's `eigsh`), so at most a fixed number of Lanczos vectors is held.
-One Krylov space carries a single copy of each degenerate eigenvalue, so
-for k > 1 a probe then searches the deflated complement of the found
-vectors for a missed copy below the k-th value, swaps it in, and repeats
-until the complement holds nothing lower.  All start vectors come from a
-seeded generator, which makes solves reproducible.
+`lanczos_lowest` finds a single lowest state (k = 1) by Lin's two-pass
+Lanczos (PRB 42, 6561 (1990)), which holds three vectors and the Ritz
+vector.  Pass 1 builds the tridiagonal matrix T until the Ritz residual
+estimate clears `tol` or the Krylov space is invariant; pass 2 reruns the
+recursion from the same start vector with the stored coefficients, so it
+repeats pass 1 bit for bit, and sums the Ritz vector.  Its products use
+`operator @ x`, the Kronecker sum of a fermion H (see `hamiltonian`); the
+true residual is then checked on the CSR `matrix`, an independent form of
+the same H, and a miss restarts from the Ritz vector.  For k > 1 it runs
+implicitly restarted Lanczos (ARPACK, through scipy's `eigsh`), so at most
+a fixed number of Lanczos vectors is held.  One Krylov space carries a
+single copy of each degenerate eigenvalue, so a probe then searches the
+deflated complement of the found vectors for a missed copy below the k-th
+value, swaps it in, and repeats until the complement holds nothing lower.
+All start vectors come from a seeded generator, which makes solves
+reproducible, and every solve returns its count of H products.
 
 Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
 projector of the operator's sector and its sparse orthonormal orbit basis Q
@@ -25,6 +34,7 @@ not against Q: one `P @ block` product must leave every vector within 1e-8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -80,12 +90,17 @@ class NonConvergenceError(SolverError):
 
 @dataclass
 class EigenSet:
-    """Ascending eigenvalues with matching orthonormal vectors and residuals."""
+    """Ascending eigenvalues with matching orthonormal vectors and residuals.
+
+    `matvecs` is the number of H products the solve made (a (dim, k) block
+    counts k); it is run telemetry and is not archived.
+    """
 
     values: np.ndarray
     vectors: np.ndarray  # shape (dim, k)
     residuals: np.ndarray
     labels: list[str] | None = None
+    matvecs: int = 0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -233,12 +248,12 @@ def lanczos_lowest(
     max_basis: int = 200,
     max_matvecs: int = 100000,
 ) -> EigenSet:
-    """Lowest k eigenpairs by implicitly restarted Lanczos (ARPACK).
+    """Lowest k eigenpairs: two-pass Lanczos for k = 1, ARPACK for k > 1.
 
-    At most `max_basis` Lanczos vectors are held at once, and the solve
+    ARPACK holds at most `max_basis` Lanczos vectors at once.  The solve
     stops with NonConvergenceError after about `max_matvecs` products.
-    Every returned vector has its residual ||H x - lambda x|| checked
-    against `tol`.
+    Every returned vector has its residual ||H x - lambda x|| on the CSR
+    matrix checked against `tol`.
     """
     mat = _as_matrix(operator)
     dim = mat.shape[0]
@@ -249,10 +264,13 @@ def lanczos_lowest(
     if k >= dim - 1:  # too small for ARPACK, and complete: no probe
         return _checked_eigenset(mat, dense_spectrum(mat).vectors[:, :k], tol)
     rng = np.random.default_rng(seed)
+    if k == 1:
+        return _two_pass(operator if isinstance(operator, SparseOperator) else mat,
+                         mat, rng.standard_normal(dim), tol, max_matvecs)
     # Gershgorin: every eigenvalue of H lies in [-(c - 1), c - 1].  ARPACK
     # works on H + c, whose spectrum lies in [1, 2c - 1]: it misses an exactly
     # zero eigenvalue, and its convergence test is relative to |theta|.
-    c = float(np.max(abs(mat).sum(axis=1))) + 1.0
+    c = _gershgorin(mat) + 1.0
     matvecs = 0
 
     def op(x: np.ndarray) -> np.ndarray:
@@ -283,8 +301,8 @@ def lanczos_lowest(
     vals, vecs = lowest(op, k)
     # completeness probe: one Krylov space carries a single copy of each
     # degenerate eigenvalue, so look for missed partners below the k-th value
-    # in the deflated complement.  ARPACK's lowest single eigenpair needs none.
-    while k > 1:
+    # in the deflated complement
+    while True:
         def deflated(x: np.ndarray) -> np.ndarray:
             x = np.ravel(x)
             a = vecs.T @ x
@@ -298,7 +316,82 @@ def lanczos_lowest(
         x = x[:, 0] - vecs @ (vecs.T @ x[:, 0])
         vals[evict], vecs[:, evict] = theta[0], x / np.linalg.norm(x)
 
-    return _checked_eigenset(mat, _canonical_sign(vecs), tol)
+    eig = _checked_eigenset(mat, _canonical_sign(vecs), tol)
+    eig.matvecs += matvecs
+    return eig
+
+
+def _gershgorin(mat) -> float:
+    """max_i sum_j |H_ij|.  A CSR matrix sums |data| row by row with the
+    `reduceat` that `abs(mat).sum(axis=1)` runs, so the bits are the same,
+    without that copy of the data and the column indices."""
+    if not sp.issparse(mat):
+        return float(np.max(np.abs(mat).sum(axis=1)))
+    rows = np.flatnonzero(np.diff(mat.indptr))
+    return float(np.max(np.add.reduceat(np.abs(mat.data), mat.indptr[rows]), initial=0.0))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by einsum, not BLAS: a threaded BLAS call leaves its OpenBLAS
+    pool spinning, and NumPy's and SciPy's separate pools then stall each
+    other's next call (on 2 cores, a 10-site Schmidt SVD right after a
+    labeled solve took 85 ms against 9 ms)."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int) -> EigenSet:
+    """Lowest eigenpair by two-pass Lanczos from `start`, with products
+    `apply @ v` and the true residual checked on `mat`.
+
+    Pass 1 takes at most half the remaining products, so that pass 2 and
+    the check fit in the rest.  A Ritz vector that misses `tol` restarts
+    the solve while its residual still falls and products remain.  The
+    vector updates run in the same order in both passes.
+    """
+    matvecs, best = 0, np.inf
+    while True:
+        start = start / math.sqrt(_dot(start, start))
+        alpha: list[float] = []
+        beta: list[float] = []
+        norm = 0.0  # Gershgorin bound of T
+        v_prev, v = None, start
+        for _ in range(max(1, (max_matvecs - matvecs) // 2)):
+            w = apply @ v
+            matvecs += 1
+            alpha.append(_dot(v, w))
+            w -= alpha[-1] * v
+            if v_prev is not None:
+                w -= beta[-1] * v_prev
+            beta.append(math.sqrt(_dot(w, w)))
+            norm = max(norm, abs(alpha[-1]) + sum(beta[-2:]))
+            _, y = sla.eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, 0))
+            if beta[-1] * abs(y[-1, 0]) <= tol or beta[-1] <= np.finfo(float).eps * norm:
+                break  # converged, or the Krylov space is invariant
+            w /= beta[-1]
+            v_prev, v = v, w
+        # pass 2: the recursion again, with the stored coefficients
+        x = y[0, 0] * start
+        v_prev, v = None, start
+        for j in range(len(alpha) - 1):
+            w = apply @ v
+            matvecs += 1
+            w -= alpha[j] * v
+            if v_prev is not None:
+                w -= beta[j - 1] * v_prev
+            w /= beta[j]
+            v_prev, v = v, w
+            x += y[j + 1, 0] * v
+        vecs, vals, res = _rayleigh(mat, _canonical_sign(x[:, None]))
+        matvecs += 1
+        if res[0] <= tol:
+            return EigenSet(values=vals, vectors=vecs, residuals=res, matvecs=matvecs)
+        if res[0] >= best or max_matvecs - matvecs < 2:
+            raise NonConvergenceError(
+                f"two-pass Lanczos missed the residual tolerance {tol:.1e} "
+                f"after {matvecs} products",
+                float(min(best, res[0])),
+            )
+        best, start = float(res[0]), vecs[:, 0]
 
 
 def _rayleigh(mat, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,14 +404,14 @@ def _rayleigh(mat, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _checked_eigenset(mat, vecs: np.ndarray, tol: float) -> EigenSet:
     """Eigenpairs from approximate eigenvectors, each with its true residual
-    on `mat` checked against `tol`."""
+    on `mat` checked against `tol`; the check's products are counted."""
     vecs, vals, res = _rayleigh(mat, vecs)
     if res.max() > tol:
         raise NonConvergenceError(
             f"{int(np.sum(res > tol))} of {len(vals)} eigenpairs miss the residual tolerance {tol:.1e}",
             float(res.min()),
         )
-    return EigenSet(values=vals, vectors=vecs, residuals=res)
+    return EigenSet(values=vals, vectors=vecs, residuals=res, matvecs=len(vals))
 
 
 def _degenerate_ranges(values: np.ndarray, rel_tol: float = DEGENERATE_RTOL) -> Iterator[tuple[int, int]]:
@@ -381,7 +474,8 @@ def lowest_in_label(
     sector coordinates; the sector must be the label's highest-weight
     sector (2M_S = 2S).  The block solve asks for k states and doubles the
     count, up to k + 40, while fewer than k carry the label's total spin.
-    Residuals are checked on the full H and only matching states return.
+    Residuals are checked on the full H and only matching states return;
+    `matvecs` counts the block products and those checks.
     """
     basis = operator.basis
     want_tm = label.twice_ms_highest
@@ -396,9 +490,11 @@ def lowest_in_label(
 
     solve_k = k
     cap = min(m, k + 40)
+    matvecs = 0
     while True:
         sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed)
         eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
+        matvecs += sub.matvecs + eig.matvecs
         eig = sharpen_spin(eig, basis)
         sel = _select_spin(eig, basis, label.total_spin)[:k]
         if len(sel) >= k or solve_k >= cap:
@@ -418,4 +514,5 @@ def lowest_in_label(
         vectors=vecs,
         residuals=eig.residuals[sel],
         labels=[format_label(label)] * len(sel),
+        matvecs=matvecs,
     )

@@ -15,6 +15,15 @@ import numpy as np
 import pytest
 
 from edkit.entanglement import _coefficient_blocks
+from edkit.lattice import Geometry
+
+
+def ring(n: int) -> Geometry:
+    """n sites on a circle of unit radius, bonded around it: bond (1, n)
+    passes over every other site of the canonical ordering."""
+    phi = 2 * np.pi * np.arange(n) / n
+    coords = np.stack([np.cos(phi), np.sin(phi), np.zeros(n)], axis=1)
+    return Geometry(name=f"ring-{n}", coords=coords, bonds=tuple((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def sort_parity(seq):

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from edkit.archive import read_archive, read_header
+from edkit.archive import read_archive, read_header, write_archive
 from edkit.cli import main
 
 
@@ -56,6 +57,42 @@ def test_manifest_lists_every_artifact(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     on_disk = {p.name for p in (tmp_path / "out").iterdir()} - {"manifest.json"}
     assert set(manifest["files"]) == on_disk
+
+
+@pytest.mark.parametrize("label", [None, "1_Ag+"])
+def test_solve_manifest_records_matvecs(tmp_path, label):
+    # the product count is run telemetry: it reaches manifest.json, but
+    # neither the archive nor the CSVs made from it
+    sections = {
+        "geometry": {"kind": "chain", "n_sites": 6},
+        "model": {"kind": "hubbard", "t": -1.0, "U": 4.0},
+        "sector": {"n_electrons": 6, "twice_ms": 0},
+        "target": {"k": 1, "tol": 1e-10, "seed": 3} | ({"label": label} if label else {}),
+    }
+    solve = _write(tmp_path, "solve.json", json.dumps(
+        sections | {"run": {"task": "solve", "output": str(tmp_path / "out")}}))
+    assert main(["run", str(solve)]) == 0
+    matvecs = json.loads((tmp_path / "out" / "manifest.json").read_text())["matvecs"]
+    assert type(matvecs) is int and matvecs > 0
+
+    path = tmp_path / "out" / "eigenpairs.edarch"
+    assert "matvecs" not in read_header(path)
+    arch = read_archive(path)
+    for count in (0, matvecs):
+        copy = tmp_path / f"copy{count}.edarch"
+        eig = dataclasses.replace(arch.eigenset, matvecs=count)
+        write_archive(copy, eig, arch.geometry, arch.model, arch.sector, tol=arch.tol, seed=arch.seed)
+        assert copy.read_bytes() == path.read_bytes()
+
+    direct = _write(tmp_path, "direct.json", json.dumps(
+        sections | {"run": {"task": "entangle", "output": str(tmp_path / "direct")},
+                    "entangle": {"left_size": 3}}))
+    archived = _write(tmp_path, "archived.json", json.dumps(
+        {"run": {"task": "entangle", "output": str(tmp_path / "archived")},
+         "input": {"archive": str(path)}, "entangle": {"left_size": 3}}))
+    assert main(["run", str(direct)]) == 0 and main(["run", str(archived)]) == 0
+    for name in ("state1_spectrum.csv", "state1_sectors.csv"):
+        assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "archived" / name).read_bytes()
 
 
 def test_manifest_config_echo_reproduces_run(tmp_path):

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_dense_heisenberg, brute_dense_hubbard
+from conftest import brute_dense_heisenberg, brute_dense_hubbard, ring
 from edkit.basis import Sector
 from edkit.hamiltonian import ModelError, ModelSpec, build_model, ohno_potential
-from edkit.lattice import Geometry, build_chain, build_icosahedron
-
-
-def _ring(n: int) -> Geometry:
-    """n sites on a circle of unit radius, bonded around it: bond (1, n)
-    passes over every other site of the canonical ordering."""
-    phi = 2 * np.pi * np.arange(n) / n
-    coords = np.stack([np.cos(phi), np.sin(phi), np.zeros(n)], axis=1)
-    return Geometry(name=f"ring-{n}", coords=coords, bonds=tuple((i, i % n + 1) for i in range(1, n + 1)))
+from edkit.lattice import build_chain, build_icosahedron
 
 
 def _fermion_sectors(n_sites: int, max_electrons: int):
@@ -99,7 +91,7 @@ def test_apply_matches_brute_force_dense():
 
 @pytest.mark.parametrize(
     "geometry, max_electrons",
-    [(_ring(5), 10), (build_icosahedron(), 3)],
+    [(ring(5), 10), (build_icosahedron(), 3)],
     ids=["ring5-every-sector", "icosahedron-n-le-3"],
 )
 def test_hubbard_matches_brute_force_on_long_bonds(geometry, max_electrons):
@@ -112,8 +104,38 @@ def test_hubbard_matches_brute_force_on_long_bonds(geometry, max_electrons):
         assert np.array_equal(h.matrix.toarray(), oracle), sector
 
 
+_SMALL_GRAPHS = [build_chain(n) for n in range(2, 7)] + [ring(n) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize("geometry", _SMALL_GRAPHS, ids=[g.name for g in _SMALL_GRAPHS])
+def test_kronecker_product_matches_oracles(geometry):
+    # `h @ x` applies T_up ⊗ I + I ⊗ T_dn + D without the CSR matrix; on every
+    # sector, empty spin channels included, its columns must match the
+    # operator-string oracle (Hückel, Hubbard) and the CSR matrix (PPP)
+    models = (
+        (ModelSpec(kind="huckel", t=-1.3), 0.0),
+        (ModelSpec(kind="hubbard", t=-1.3, U=4.0), 4.0),
+        (ModelSpec(kind="ppp", t=-2.4, U=11.26), None),
+    )
+    n = geometry.n_sites
+    for sector in _fermion_sectors(n, 2 * n):
+        for spec, u in models:
+            h = build_model(geometry, spec, sector)
+            assert h.kron is not None
+            kron = np.column_stack([h @ e for e in np.eye(h.dim)])
+            oracle = h.matrix.toarray() if u is None else brute_dense_hubbard(geometry, spec.t, u, h.basis)
+            assert np.abs(kron - oracle).max() <= 1e-13, (spec.kind, sector)
+
+
+def test_spin_operator_product_is_the_csr_product(rng):
+    h = build_model(build_chain(6), ModelSpec(kind="heisenberg", J=1.0), Sector(None, 0))
+    x = rng.standard_normal(h.dim)
+    assert h.kron is None
+    assert np.array_equal(h @ x, h.matrix @ x)
+
+
 @pytest.mark.parametrize("site_spin", [0.5, 1.0])
-@pytest.mark.parametrize("geometry", [build_chain(4), _ring(4)], ids=["chain4", "ring4"])
+@pytest.mark.parametrize("geometry", [build_chain(4), ring(4)], ids=["chain4", "ring4"])
 def test_heisenberg_matches_brute_force_dense(geometry, site_spin):
     spec = ModelSpec(kind="heisenberg", J=0.7, site_spin=site_spin)
     top = round(2 * site_spin) * geometry.n_sites

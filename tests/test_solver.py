@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import ring
 from edkit.basis import Sector
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import build_chain, build_icosahedron
@@ -10,6 +11,7 @@ from edkit.solver import (
     EigenSet,
     NonConvergenceError,
     SolverError,
+    _gershgorin,
     dense_spectrum,
     dense_subspace_spectrum,
     group_degenerate,
@@ -86,6 +88,65 @@ def test_lanczos_determinism():
     b = lanczos_lowest(h, k=3, tol=1e-10, seed=1)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_lanczos_k1_determinism():
+    h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    a = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
+    b = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.vectors, b.vectors)
+    assert np.array_equal(a.residuals, b.residuals)
+    assert a.matvecs == b.matvecs > 0
+
+
+def test_two_pass_tiny_sectors_stop_on_invariant_subspace():
+    # a Krylov space of a dim-3..6 sector is invariant after at most dim
+    # steps: pass 1 must stop there, before dividing by a vanishing beta
+    tiny = []
+    for n in (2, 3, 4):
+        for sector in _all_sectors(n):
+            for kind in ("huckel", "hubbard"):
+                h = build_model(build_chain(n), ModelSpec(kind=kind, t=-1.0, U=4.0), sector)
+                if 3 <= h.dim <= 6:
+                    tiny.append(h)
+    tiny.append(sp.csr_matrix((5, 5)))  # the zero operator: beta is exactly 0
+    assert len(tiny) > 10
+    for h in tiny:
+        eig = lanczos_lowest(h, k=1, tol=1e-10, seed=4)
+        dim = h.shape[0] if sp.issparse(h) else h.dim
+        assert np.all(np.isfinite(eig.vectors)) and np.isfinite(eig.values[0])
+        assert eig.residuals[0] <= 1e-10
+        assert eig.matvecs <= 2 * dim  # pass 1 took at most dim steps
+        assert abs(eig.values[0] - dense_spectrum(h).values[0]) < 1e-10
+
+
+@pytest.mark.parametrize("n_sites", [5, 6])
+def test_two_pass_degenerate_ground_manifold(n_sites):
+    # 5 electrons on a ring: the ground level is a momentum doublet, and the
+    # single Krylov space returns one member of it
+    h = build_model(ring(n_sites), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(5, 1))
+    dense = dense_spectrum(h).values
+    assert abs(dense[1] - dense[0]) < 1e-12
+    eig = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
+    assert eig.residuals[0] <= 1e-10
+    assert abs(eig.values[0] - dense[0]) < 1e-10
+
+
+def test_two_pass_matches_arpack_ten_sites():
+    h = build_model(build_chain(10), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(10, 0))
+    two_pass = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
+    arpack = lanczos_lowest(h, k=2, tol=1e-10, seed=1)
+    assert abs(two_pass.values[0] - arpack.values[0]) < 1e-10
+    assert two_pass.matvecs > 0 and arpack.matvecs > 0
+
+
+def test_gershgorin_bound_is_the_abs_row_sum():
+    # the ARPACK shift must keep its bits: same sums as abs(mat).sum(axis=1)
+    h = build_model(build_chain(6), ModelSpec(kind="ppp", t=-2.4, U=11.26), Sector(6, 0))
+    empty_rows = sp.csr_matrix(([-2.0, 3.0, 0.5], ([1, 1, 3], [0, 2, 3])), shape=(5, 5))
+    for mat in (h.matrix, empty_rows, sp.csr_matrix((4, 4))):
+        assert _gershgorin(mat) == float(np.max(abs(mat).sum(axis=1)))
 
 
 def test_lanczos_nonconvergence_diagnostic():
@@ -311,24 +372,25 @@ def test_lanczos_probe_swaps_in_missed_partner(monkeypatch):
     assert [m.multiplicity for m in group_degenerate(eig)] == [1, 5]
 
 
-def _eigsh_calls(monkeypatch) -> list:
-    import scipy.sparse.linalg as spla
+def _block_solve_calls(monkeypatch) -> list:
+    """The k of every block solve `lowest_in_label` asks `lanczos_lowest` for."""
+    import edkit.solver
 
     calls = []
-    eigsh = spla.eigsh
+    solve = edkit.solver.lanczos_lowest
 
     def spy(*args, **kwargs):
         calls.append(kwargs.get("k"))
-        return eigsh(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", spy)
+    monkeypatch.setattr(edkit.solver, "lanczos_lowest", spy)
     return calls
 
 
 def test_lowest_in_label_k1_is_one_block_solve(monkeypatch):
-    # the block's lowest state carries the label's spin: one ARPACK call for
-    # one state, and a single requested state needs no completeness probe
-    calls = _eigsh_calls(monkeypatch)
+    # the block's lowest state carries the label's spin: one block solve for
+    # one state
+    calls = _block_solve_calls(monkeypatch)
     h = build_model(build_chain(10), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(10, 0))
     eig = lowest_in_label(h, parse_label("1_Ag+"), k=1, tol=1e-10)
     assert calls == [1]
@@ -338,7 +400,7 @@ def test_lowest_in_label_k1_is_one_block_solve(monkeypatch):
 def test_lowest_in_label_grows_until_spin_found(monkeypatch):
     # the lowest state of the 8-site (C2 -1, eh +1) block is not a singlet,
     # so the solve doubles its count until a singlet turns up
-    calls = _eigsh_calls(monkeypatch)
+    calls = _block_solve_calls(monkeypatch)
     h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
     eig = lowest_in_label(h, parse_label("1_Bu+"), k=1, tol=1e-10)
     assert calls[0] == 1 and len(calls) > 1
