@@ -168,8 +168,8 @@ def _coefficient_blocks(
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """Descending singular values from LAPACK dgesdd with the optimal
     workspace, as `scipy.linalg.svd` computes them.  SciPy's LAPACK, not
-    NumPy's: the two bundle separate OpenBLAS builds, and NumPy's threads
-    stall on SciPy's, which still spin after an ARPACK solve."""
+    NumPy's: the two bundle separate OpenBLAS builds, and one pool's
+    threads stall on the other's while those still spin."""
     lwork = int(dgesdd_lwork(*a.shape, compute_uv=0, full_matrices=0)[0])
     _, sigma, _, info = dgesdd(a, compute_uv=0, full_matrices=0, lwork=lwork)
     if info:

@@ -1,21 +1,19 @@
 """Eigensolvers: dense full spectra and Lanczos for large sectors.
 
-`lanczos_lowest` finds a single lowest state (k = 1) by Lin's two-pass
-Lanczos (PRB 42, 6561 (1990)), which holds three vectors and the Ritz
-vector.  Pass 1 builds the tridiagonal matrix T until the Ritz residual
-estimate clears `tol` or the Krylov space is invariant; pass 2 reruns the
-recursion from the same start vector with the stored coefficients, so it
-repeats pass 1 bit for bit, and sums the Ritz vector.  Its products use
-`operator @ x`, the Kronecker sum of a fermion H (see `hamiltonian`); the
-true residual is then checked on the CSR `matrix`, an independent form of
-the same H, and a miss restarts from the Ritz vector.  For k > 1 it runs
-implicitly restarted Lanczos (ARPACK, through scipy's `eigsh`), so at most
-a fixed number of Lanczos vectors is held.  One Krylov space carries a
-single copy of each degenerate eigenvalue, so a probe then searches the
-deflated complement of the found vectors for a missed copy below the k-th
-value, swaps it in, and repeats until the complement holds nothing lower.
-All start vectors come from a seeded generator, which makes solves
-reproducible, and every solve returns its count of H products.
+`lanczos_lowest` finds each state by Lin's two-pass Lanczos (PRB 42, 6561
+(1990)), which holds three vectors and the Ritz vector.  Pass 1 builds the
+tridiagonal matrix T until the Ritz residual estimate clears `tol` or the
+Krylov space is invariant; pass 2 reruns the recursion from the same start
+vector with the stored coefficients, so it repeats pass 1 bit for bit, and
+sums the Ritz vector.  Its products use `operator @ x`, the Kronecker sum
+of a fermion H (see `hamiltonian`); the true residual is then checked on
+the CSR `matrix`, an independent form of the same H, and a miss restarts
+from the Ritz vector.  For k > 1 each further state is the lowest of H with
+the found states shifted above its spectrum (Hotelling deflation), so a
+degenerate partner is simply the next state found.  Start vectors come from
+a seeded generator in state order, which makes solves reproducible and a
+k-state solve the prefix of a larger one; every solve returns its count of
+H products.
 
 Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
 projector of the operator's sector and its sparse orthonormal orbit basis Q
@@ -36,12 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import BasisTable
 from .hamiltonian import SparseOperator
@@ -245,15 +242,16 @@ def lanczos_lowest(
     k: int = 1,
     tol: float = 1e-10,
     seed: int = 1,
-    max_basis: int = 200,
     max_matvecs: int = 100000,
 ) -> EigenSet:
-    """Lowest k eigenpairs: two-pass Lanczos for k = 1, ARPACK for k > 1.
+    """Lowest k eigenpairs, one two-pass Lanczos solve per state.
 
-    ARPACK holds at most `max_basis` Lanczos vectors at once.  The solve
-    stops with NonConvergenceError after about `max_matvecs` products.
-    Every returned vector has its residual ||H x - lambda x|| on the CSR
-    matrix checked against `tol`.
+    State i is the lowest of H + sum_{j<i} (c - lambda_j) v_j v_j^T, with c
+    above the spectrum of H, so the found states sit at c and a degenerate
+    partner is the lowest state of the next solve.  The solve stops with
+    NonConvergenceError after about `max_matvecs` products.  Every returned
+    vector has its residual ||H x - lambda x|| on the CSR matrix checked
+    against `tol`.
     """
     mat = _as_matrix(operator)
     dim = mat.shape[0]
@@ -261,64 +259,27 @@ def lanczos_lowest(
         raise SolverError(f"k must be at least 1, got {k}")
     if k > dim:
         raise SolverError(f"requested {k} eigenpairs from a dimension-{dim} sector")
-    if k >= dim - 1:  # too small for ARPACK, and complete: no probe
+    if k >= dim - 1:  # all states, or all but one: cheaper densely
         return _checked_eigenset(mat, dense_spectrum(mat).vectors[:, :k], tol)
     rng = np.random.default_rng(seed)
-    if k == 1:
-        return _two_pass(operator if isinstance(operator, SparseOperator) else mat,
-                         mat, rng.standard_normal(dim), tol, max_matvecs)
-    # Gershgorin: every eigenvalue of H lies in [-(c - 1), c - 1].  ARPACK
-    # works on H + c, whose spectrum lies in [1, 2c - 1]: it misses an exactly
-    # zero eigenvalue, and its convergence test is relative to |theta|.
-    c = _gershgorin(mat) + 1.0
+    apply = operator if isinstance(operator, SparseOperator) else mat
+    c = _gershgorin(mat) + 1.0 if k > 1 else 0.0  # above every eigenvalue of H
+    vecs = np.empty((dim, k), order="F")
+    vals, res = np.empty(k), np.empty(k)
     matvecs = 0
 
-    def op(x: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        x = np.ravel(x)
-        return mat @ x + c * x
+    def product(x: np.ndarray) -> np.ndarray:  # H deflated by the i states found
+        y = apply @ x
+        if i:
+            v = vecs[:, :i]
+            y += v @ ((c - vals[:i]) * (v.T @ x))
+        return y
 
-    def lowest(apply: Callable[[np.ndarray], np.ndarray], need: int) -> tuple[np.ndarray, np.ndarray]:
-        ncv = min(dim, max(need + 1, min(max_basis, max(2 * need + 1, 20))))
-        v0 = rng.standard_normal(dim)
-        try:
-            # ARPACK's test is ||r|| <= tol' |theta|, and |theta| < 2c here
-            vals, vecs = spla.eigsh(
-                spla.LinearOperator((dim, dim), matvec=apply, dtype=float),
-                k=need, which="SA", tol=tol / (2.0 * c), ncv=ncv, v0=v0,
-                maxiter=max(1, (max_matvecs - matvecs) // ncv),
-            )
-            return vals - c, vecs
-        except spla.ArpackNoConvergence as err:
-            # best of the start vector and any Ritz vectors ARPACK converged
-            res = _rayleigh(mat, np.column_stack([v0, err.eigenvectors]))[2]
-            raise NonConvergenceError(
-                f"ARPACK failed to converge {need} eigenpairs within {matvecs} products",
-                float(res.min()),
-            ) from None
-
-    vals, vecs = lowest(op, k)
-    # completeness probe: one Krylov space carries a single copy of each
-    # degenerate eigenvalue, so look for missed partners below the k-th value
-    # in the deflated complement
-    while True:
-        def deflated(x: np.ndarray) -> np.ndarray:
-            x = np.ravel(x)
-            a = vecs.T @ x
-            y = op(x - vecs @ a)
-            return y - vecs @ (vecs.T @ y) + 2.0 * c * (vecs @ a)
-
-        theta, x = lowest(deflated, 1)
-        evict = int(np.argmax(vals))
-        if theta[0] >= vals[evict] - DEGENERATE_RTOL * max(1.0, abs(vals[evict])):
-            break
-        x = x[:, 0] - vecs @ (vecs.T @ x[:, 0])
-        vals[evict], vecs[:, evict] = theta[0], x / np.linalg.norm(x)
-
-    eig = _checked_eigenset(mat, _canonical_sign(vecs), tol)
-    eig.matvecs += matvecs
-    return eig
+    for i in range(k):
+        eig = _two_pass(product, mat, rng.standard_normal(dim), tol, max_matvecs - matvecs)
+        vecs[:, i], vals[i], res[i] = eig.vectors[:, 0], eig.values[0], eig.residuals[0]
+        matvecs += eig.matvecs
+    return EigenSet(values=vals, vectors=vecs, residuals=res, matvecs=matvecs)
 
 
 def _gershgorin(mat) -> float:
@@ -341,7 +302,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int) -> EigenSet:
     """Lowest eigenpair by two-pass Lanczos from `start`, with products
-    `apply @ v` and the true residual checked on `mat`.
+    `apply(v)` and the true residual checked on `mat`.
 
     Pass 1 takes at most half the remaining products, so that pass 2 and
     the check fit in the rest.  A Ritz vector that misses `tol` restarts
@@ -356,7 +317,7 @@ def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int) -> Ei
         norm = 0.0  # Gershgorin bound of T
         v_prev, v = None, start
         for _ in range(max(1, (max_matvecs - matvecs) // 2)):
-            w = apply @ v
+            w = apply(v)
             matvecs += 1
             alpha.append(_dot(v, w))
             w -= alpha[-1] * v
@@ -373,7 +334,7 @@ def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int) -> Ei
         x = y[0, 0] * start
         v_prev, v = None, start
         for j in range(len(alpha) - 1):
-            w = apply @ v
+            w = apply(v)
             matvecs += 1
             w -= alpha[j] * v
             if v_prev is not None:

@@ -53,16 +53,28 @@ def test_dense_cap():
 
 def test_dense_vs_lanczos_every_sector_six_sites():
     g = build_chain(6)
-    spec = ModelSpec(kind="hubbard", t=-1.0, U=4.0)
-    for sector in _all_sectors(6):
-        h = build_model(g, spec, sector)
-        if h.dim == 0:
-            continue
-        d = dense_spectrum(h)
-        l = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
-        assert abs(d.values[0] - l.values[0]) < 1e-9
-        # variational bound
-        assert l.values[0] >= d.values[0] - 1e-9
+    for spec in (ModelSpec(kind="hubbard", t=-1.0, U=4.0), ModelSpec(kind="ppp", t=-2.4, U=11.26)):
+        for sector in _all_sectors(6):
+            h = build_model(g, spec, sector)
+            if h.dim == 0:
+                continue
+            d = dense_spectrum(h)
+            l = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
+            assert abs(d.values[0] - l.values[0]) < 1e-9
+            # variational bound
+            assert l.values[0] >= d.values[0] - 1e-9
+            if h.dim < 3:
+                continue
+            # deflated solves, or the dense branch for dim <= 4
+            l = lanczos_lowest(h, k=3, tol=1e-10, seed=1)
+            assert np.abs(l.values - d.values[:3]).max() < 1e-9
+            assert np.abs(l.vectors.T @ l.vectors - np.eye(3)).max() < 1e-10
+    # state i of a solve depends only on the states before it
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
+    two = lanczos_lowest(h, k=2, tol=1e-10, seed=1)
+    four = lanczos_lowest(h, k=4, tol=1e-10, seed=1)
+    assert np.array_equal(two.values, four.values[:2])
+    assert np.array_equal(two.vectors, four.vectors[:, :2])
 
 
 def test_lanczos_ten_site_residual():
@@ -134,15 +146,21 @@ def test_two_pass_degenerate_ground_manifold(n_sites):
 
 
 def test_two_pass_matches_arpack_ten_sites():
+    # SciPy's ARPACK is the independent oracle for both the k = 1 and the
+    # deflated k = 2 solve
+    import scipy.sparse.linalg as spla
+
     h = build_model(build_chain(10), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(10, 0))
-    two_pass = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
-    arpack = lanczos_lowest(h, k=2, tol=1e-10, seed=1)
-    assert abs(two_pass.values[0] - arpack.values[0]) < 1e-10
-    assert two_pass.matvecs > 0 and arpack.matvecs > 0
+    arpack = np.sort(spla.eigsh(h.matrix, k=2, which="SA")[0])
+    one = lanczos_lowest(h, k=1, tol=1e-10, seed=1)
+    two = lanczos_lowest(h, k=2, tol=1e-10, seed=1)
+    assert abs(one.values[0] - arpack[0]) < 1e-10
+    assert np.abs(two.values - arpack).max() < 1e-10
+    assert one.matvecs > 0 and two.matvecs > one.matvecs
 
 
 def test_gershgorin_bound_is_the_abs_row_sum():
-    # the ARPACK shift must keep its bits: same sums as abs(mat).sum(axis=1)
+    # the deflation shift must keep its bits: same sums as abs(mat).sum(axis=1)
     h = build_model(build_chain(6), ModelSpec(kind="ppp", t=-2.4, U=11.26), Sector(6, 0))
     empty_rows = sp.csr_matrix(([-2.0, 3.0, 0.5], ([1, 1, 3], [0, 2, 3])), shape=(5, 5))
     for mat in (h.matrix, empty_rows, sp.csr_matrix((4, 4))):
@@ -153,7 +171,7 @@ def test_lanczos_nonconvergence_diagnostic():
     g = build_chain(8)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
     with pytest.raises(NonConvergenceError) as err:
-        lanczos_lowest(h, k=1, tol=1e-14, max_basis=5, max_matvecs=40)
+        lanczos_lowest(h, k=1, tol=1e-14, max_matvecs=40)
     assert err.value.best_residual > 0
 
 
@@ -322,7 +340,7 @@ def test_lanczos_nonconvergence_best_residual_finite():
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
     for k in (1, 3):
         with pytest.raises(NonConvergenceError) as err:
-            lanczos_lowest(h, k=k, tol=1e-14, max_basis=5, max_matvecs=40)
+            lanczos_lowest(h, k=k, tol=1e-14, max_matvecs=40)
         assert np.isfinite(err.value.best_residual)
         assert err.value.best_residual > 0
 
@@ -347,29 +365,17 @@ def test_lanczos_projected_k4_eight_site_subspace():
     assert np.abs(a.values - sub.values[:4]).max() < 1e-9
 
 
-def test_lanczos_probe_swaps_in_missed_partner(monkeypatch):
+def test_lanczos_finds_every_copy_of_a_degenerate_level():
     # The icosahedron's lowest six states are a singlet and a 5-fold level.
-    # One Krylov space carries a single copy of each degenerate level, and
-    # the block solve comes back with the 5-fold level incomplete; only the
-    # deflated-complement probe recovers the missing copies.
-    import scipy.sparse.linalg as spla
-
-    calls = []
-    eigsh = spla.eigsh
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("k"))
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "eigsh", spy)
+    # One Krylov space carries a single copy of each degenerate level; the
+    # deflated solves lift each found copy above the spectrum, so the next
+    # copy is the lowest state of the next solve.
     ico = build_icosahedron()
     h = build_model(ico, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0))
     eig = lanczos_lowest(h, k=6, tol=1e-10, seed=1)
-    # one block solve, then probes; a probe that finds nothing new ends the
-    # loop, so three or more calls mean at least one partner was swapped in
-    assert calls[0] == 6 and len(calls) >= 3
     assert np.abs(eig.values - dense_spectrum(h).values[:6]).max() < 1e-9
     assert [m.multiplicity for m in group_degenerate(eig)] == [1, 5]
+    assert np.abs(eig.vectors.T @ eig.vectors - np.eye(6)).max() < 1e-10
 
 
 def _block_solve_calls(monkeypatch) -> list:
