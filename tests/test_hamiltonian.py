@@ -1,11 +1,15 @@
 import math
+import multiprocessing
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import brute_dense_heisenberg, brute_dense_hubbard, ring
+from edkit import hamiltonian
 from edkit.basis import Sector
-from edkit.hamiltonian import ModelError, ModelSpec, build_model, ohno_potential
+from edkit.hamiltonian import ModelError, ModelSpec, SparseOperator, build_model, ohno_potential
 from edkit.lattice import build_chain, build_icosahedron
 
 
@@ -79,7 +83,13 @@ def test_ppp_reduces_to_hubbard_plus_density_term():
 def test_apply_zero_and_length_check():
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0))
-    assert np.all(h.matrix @ np.zeros(h.dim) == 0)
+    assert h.kron is not None
+    assert np.all(h @ np.zeros(h.dim) == 0)
+    spin = build_model(g, ModelSpec(kind="heisenberg"), Sector(None, 0))
+    for op in (h, spin):
+        for bad in (np.zeros(op.dim + 1), np.zeros((op.dim, 1)), np.zeros((1, op.dim))):
+            with pytest.raises(ModelError, match=re.escape(f"length {op.dim}, got shape {bad.shape}")):
+                op @ bad
 
 
 def test_apply_matches_brute_force_dense():
@@ -107,11 +117,24 @@ def test_hubbard_matches_brute_force_on_long_bonds(geometry, max_electrons):
 _SMALL_GRAPHS = [build_chain(n) for n in range(2, 7)] + [ring(n) for n in range(3, 7)]
 
 
+def _whole_vector_product(h, x):
+    """T_up X + (T_dn Xᵀ)ᵀ + D * X on the whole n_up x n_dn layout."""
+    t_up, t_dn, diag = h.kron
+    v = x.reshape(diag.shape)
+    out = t_up @ v
+    out += (t_dn @ v.T).T
+    out += diag * v
+    return out.reshape(-1)
+
+
 @pytest.mark.parametrize("geometry", _SMALL_GRAPHS, ids=[g.name for g in _SMALL_GRAPHS])
-def test_kronecker_product_matches_oracles(geometry):
+def test_kronecker_product_matches_oracles(geometry, monkeypatch, rng):
     # `h @ x` applies T_up ⊗ I + I ⊗ T_dn + D without the CSR matrix; on every
     # sector, empty spin channels included, its columns must match the
-    # operator-string oracle (Hückel, Hubbard) and the CSR matrix (PPP)
+    # operator-string oracle (Hückel, Hubbard) and the CSR matrix (PPP).  A
+    # random vector's product must be the whole-vector formula's bit for bit,
+    # in the default row blocks and in blocks of one to five rows on one and
+    # on two workers
     models = (
         (ModelSpec(kind="huckel", t=-1.3), 0.0),
         (ModelSpec(kind="hubbard", t=-1.3, U=4.0), 4.0),
@@ -125,6 +148,70 @@ def test_kronecker_product_matches_oracles(geometry):
             kron = np.column_stack([h @ e for e in np.eye(h.dim)])
             oracle = h.matrix.toarray() if u is None else brute_dense_hubbard(geometry, spec.t, u, h.basis)
             assert np.abs(kron - oracle).max() <= 1e-13, (spec.kind, sector)
+            x = rng.standard_normal(h.dim)
+            want = _whole_vector_product(h, x)
+            assert np.array_equal(h @ x, want), (spec.kind, sector)
+            with monkeypatch.context() as m:
+                m.setattr(hamiltonian, "_BLOCK", 5)
+                small = SparseOperator(h.matrix, h.basis, geometry, spec, h.kron)
+                for workers in (1, 2):
+                    m.setattr(hamiltonian, "_workers", lambda: workers)
+                    assert np.array_equal(small @ x, want), (spec.kind, sector, workers)
+
+
+@pytest.mark.parametrize("kind", ["huckel", "hubbard", "ppp"])
+def test_kron_sum_blocks_match_one_whole_matrix_sum(kind, monkeypatch):
+    # blocks of one row of T_up on two workers, the default blocks on one
+    # worker and the whole-matrix sum give the same CSR arrays bit for bit
+    g = build_chain(6)
+    h = build_model(g, ModelSpec(kind=kind, t=-1.3, U=4.0), Sector(6, 0))
+    t_up, t_dn, diag = h.kron
+    nu, nd = diag.shape
+    whole = sp.kron(t_up, sp.identity(nd)) + sp.kron(sp.identity(nu), t_dn)
+    if kind != "huckel":
+        whole = whole + sp.diags(diag.reshape(-1))
+    whole = whole.tocsr()
+    builds = []
+    for workers, block in ((1, hamiltonian._BLOCK), (2, 1)):
+        monkeypatch.setattr(hamiltonian, "_workers", lambda: workers)
+        monkeypatch.setattr(hamiltonian, "_BLOCK", block)
+        builds.append(hamiltonian._kron_sum(t_up, t_dn, diag))
+    for m in builds:
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(m, name), getattr(whole, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _fork_product(h, x, conn):
+    conn.send((h @ x).tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_forked_child_computes_products_after_threaded_one(monkeypatch):
+    # the child inherits the parent's executor without its threads; its own
+    # product must start a new pool instead of waiting on the old one
+    monkeypatch.setattr(hamiltonian, "_workers", lambda: 2)
+    monkeypatch.setattr(hamiltonian, "_BLOCK", 5)
+    h = build_model(build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
+    x = np.linspace(-1.0, 1.0, h.dim)
+    want = (h @ x).tobytes()
+    assert hamiltonian._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_fork_product, args=(h, x, send))
+    child.start()
+    try:
+        assert receive.poll(30), "the forked child's product hung"
+        assert receive.recv() == want
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join(5)
+    assert not child.is_alive() and child.exitcode == 0
 
 
 def test_spin_operator_product_is_the_csr_product(rng):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import ring
+from edkit import hamiltonian
 from edkit.basis import Sector
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import build_chain, build_icosahedron
@@ -12,6 +13,7 @@ from edkit.solver import (
     NonConvergenceError,
     SolverError,
     _gershgorin,
+    _recur,
     dense_spectrum,
     dense_subspace_spectrum,
     group_degenerate,
@@ -110,6 +112,43 @@ def test_lanczos_k1_determinism():
     assert np.array_equal(a.vectors, b.vectors)
     assert np.array_equal(a.residuals, b.residuals)
     assert a.matvecs == b.matvecs > 0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_lanczos_bits_do_not_depend_on_cpus_or_blocks(k, monkeypatch):
+    # products and vector updates run in row blocks, on a pool of one worker
+    # per CPU; with one worker, with two and with blocks of 500 entries
+    # (seven rows of the 70 x 70 layout) every returned bit is the same
+    solves = []
+    for workers, block in ((1, hamiltonian._BLOCK), (2, 500), (1, 500)):
+        monkeypatch.setattr(hamiltonian, "_workers", lambda: workers)
+        monkeypatch.setattr(hamiltonian, "_BLOCK", block)
+        h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+        solves.append(lanczos_lowest(h, k=k, tol=1e-10, seed=1))
+    first = solves[0]
+    for eig in solves[1:]:
+        for name in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(eig, name), getattr(first, name)), name
+        assert eig.matvecs == first.matvecs > 0
+
+
+@pytest.mark.parametrize("block", [64, 1 << 16])
+def test_recur_takes_the_whole_vector_steps(block, monkeypatch, rng):
+    # each entry of the blocked update goes through the whole-vector steps
+    # w -= alpha v; w -= beta_prev v_prev; w /= beta; x += y w in that order
+    monkeypatch.setattr(hamiltonian, "_BLOCK", block)
+    w, v, v_prev, x = rng.standard_normal((4, 1000))
+    want_w, want_x = w.copy(), x.copy()
+    want_w -= 0.3 * v
+    want_w -= 0.7 * v_prev
+    want_w /= 1.1
+    want_x += 0.9 * want_w
+    _recur(w, v, v_prev, 0.3, 0.7, 1.1, x, 0.9)
+    assert np.array_equal(w, want_w) and np.array_equal(x, want_x)
+    w, want_w = v.copy(), v.copy()
+    want_w -= 0.3 * x
+    _recur(w, x, None, 0.3, 0.0)
+    assert np.array_equal(w, want_w)
 
 
 def test_two_pass_tiny_sectors_stop_on_invariant_subspace():
