@@ -49,7 +49,7 @@ from .solver import (
     lanczos_lowest,
     lowest_in_label,
 )
-from .symmetry import SymmetryError, classify, format_label, parse_label
+from .symmetry import SymmetryError, classify, format_label
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +98,7 @@ class RunContext:
             "status": status,
             "task": self.cfg.task,
             "config": self.cfg.echo(),
-            "seed": self.cfg.target()["seed"],
+            "seed": self.cfg.seed,
             "versions": {
                 "edkit": __version__,
                 "numpy": np.__version__,
@@ -117,23 +117,17 @@ class RunContext:
 
 
 def _solve_eigenset(cfg: RunConfig):
-    geometry = cfg.geometry()
-    model = cfg.model()
-    sector = cfg.sector(model)
-    target = cfg.target()
-    h = build_model(geometry, model, sector)
-    if target["label"]:
-        label = parse_label(target["label"])
-        eig = lowest_in_label(h, label, k=target["k"], tol=target["tol"], seed=target["seed"])
-    else:
-        eig = lanczos_lowest(h, k=target["k"], tol=target["tol"], seed=target["seed"])
-    return geometry, model, sector, target, h, eig
+    h = build_model(cfg.geometry(), cfg.model(), cfg.sector)
+    if cfg.label:
+        return h, lowest_in_label(h, cfg.label, k=cfg.k, tol=cfg.tol, seed=cfg.seed)
+    return h, lanczos_lowest(h, k=cfg.k, tol=cfg.tol, seed=cfg.seed)
 
 
 def _task_solve(ctx: RunContext) -> dict:
-    geometry, model, sector, target, _, eig = _solve_eigenset(ctx.cfg)
-    out = ctx.path("eigenpairs.edarch")
-    write_archive(out, eig, geometry, model, sector, tol=target["tol"], seed=target["seed"])
+    cfg = ctx.cfg
+    _, eig = _solve_eigenset(cfg)
+    write_archive(ctx.path("eigenpairs.edarch"), eig, cfg.geometry(), cfg.model(), cfg.sector,
+                  tol=cfg.tol, seed=cfg.seed)
     return {
         "eigenvalues": [float(v) for v in eig.values],
         "labels": eig.labels,
@@ -141,18 +135,17 @@ def _task_solve(ctx: RunContext) -> dict:
     }
 
 
-def _archive_state(ctx: RunContext, left: int) -> tuple[int, str | None, RDMSpectrum]:
+def _archive_state(cfg: RunConfig) -> tuple[int, str | None, RDMSpectrum]:
     """The [entangle] state of the input archive: its number, its stored
-    label and its Schmidt spectrum across the cut after `left` sites."""
-    arch = read_archive(ctx.cfg.archive_path())
-    eig = arch.eigenset
-    state = ctx.cfg._get_int("entangle", "state", default=1)
+    label and its Schmidt spectrum across the cut after left_size sites."""
+    arch = read_archive(cfg.archive)
+    eig, state = arch.eigenset, cfg.state
     if not 1 <= state <= eig.k:
         raise ConfigError(f"[entangle] state must be in 1..{eig.k}, got {state}")
     basis = enumerate_sector(
         arch.geometry, arch.model.kind, arch.sector, site_spin=arch.model.site_spin
     )
-    spectrum = schmidt_spectrum(eig.vectors[:, state - 1], basis, half_cut(arch.geometry, left))
+    spectrum = schmidt_spectrum(eig.vectors[:, state - 1], basis, half_cut(arch.geometry, cfg.left_size))
     return state, eig.labels[state - 1] if eig.labels else None, spectrum
 
 
@@ -169,24 +162,24 @@ def _sector_rows(rows):
 
 def _task_entangle(ctx: RunContext) -> dict:
     cfg = ctx.cfg
-    left = cfg._get_int("entangle", "left_size", required=True)
-    if cfg.sections.get("input", {}).get("archive"):
-        state, _, spectrum = _archive_state(ctx, left)
+    if cfg.archive:
+        state, _, spectrum = _archive_state(cfg)
     else:
-        geometry, model, sector, target, h, eig = _solve_eigenset(cfg)
-        state = target["k"]
-        spectrum = schmidt_spectrum(eig.vectors[:, state - 1], h.basis, half_cut(geometry, left))
+        h, eig = _solve_eigenset(cfg)
+        state = cfg.k
+        cut = half_cut(cfg.geometry(), cfg.left_size)
+        spectrum = schmidt_spectrum(eig.vectors[:, state - 1], h.basis, cut)
     ctx.write_csv(
         f"state{state}_spectrum.csv",
         ["two_ms_left", "n_left", "w"],
         _spectrum_rows(spectrum),
-        metadata=_csv_meta(left, spectrum),
+        metadata=_csv_meta(cfg.left_size, spectrum),
     )
     ctx.write_csv(
         f"state{state}_sectors.csv",
         ["two_ms_left", "n_left", "partial_entropy"],
         _sector_rows(spectrum.sector_entropies()),
-        metadata=_csv_meta(left, spectrum),
+        metadata=_csv_meta(cfg.left_size, spectrum),
     )
     return {"total_entropy_bits": spectrum.total_entropy}
 
@@ -197,54 +190,44 @@ def _csv_meta(left: int, spectrum: RDMSpectrum, label: str | None = None) -> dic
 
 
 def _task_sector_table(ctx: RunContext) -> dict:
-    left = ctx.cfg._get_int("entangle", "left_size", required=True)
-    state, label, spectrum = _archive_state(ctx, left)
+    state, label, spectrum = _archive_state(ctx.cfg)
     ctx.write_csv(
         f"state{state}_sectors.csv",
         ["two_ms_left", "n_left", "partial_entropy"],
         _sector_rows(spectrum.sector_entropies()),
-        metadata=_csv_meta(left, spectrum, label),
+        metadata=_csv_meta(ctx.cfg.left_size, spectrum, label),
     )
     return {"total_entropy_bits": spectrum.total_entropy}
 
 
 def _task_histogram(ctx: RunContext) -> dict:
-    left = ctx.cfg._get_int("entangle", "left_size", required=True)
-    state, label, spectrum = _archive_state(ctx, left)
+    state, label, spectrum = _archive_state(ctx.cfg)
     counts = decade_histogram(spectrum)
     ctx.write_csv(
         f"state{state}_decades.csv",
         ["decade", "count"],
         [(int(p), int(c)) for p, c in enumerate(counts)],
-        metadata=_csv_meta(left, spectrum, label),
+        metadata=_csv_meta(ctx.cfg.left_size, spectrum, label),
     )
     return {"decades": [int(c) for c in counts]}
 
 
 def _dense_states(cfg: RunConfig):
-    geometry = cfg.geometry()
-    model = cfg.model()
-    h = build_model(geometry, model, cfg.sector(model))
-    sub = cfg.subspace()
-    if sub is None:
-        eig = dense_spectrum(h)
-    else:
-        eig = dense_subspace_spectrum(h, sub["c2"], sub["eh"], spin=sub["spin"])
-    return geometry, model, eig, h.basis
+    """The spectrum of the sector, or of its [subspace] block, and the cut after left_size sites."""
+    h = build_model(cfg.geometry(), cfg.model(), cfg.sector)
+    eig = dense_spectrum(h) if cfg.subspace is None else dense_subspace_spectrum(h, *cfg.subspace)
+    return eig, h.basis, half_cut(cfg.geometry(), cfg.left_size)
 
 
 def _task_profile(ctx: RunContext) -> dict:
     cfg = ctx.cfg
-    left = cfg._get_int("entangle", "left_size", required=True)
-    smoothing = cfg._get("profile", "smoothing", default="none")
-    bin_width = cfg._get_float("profile", "bin_width", default=0.5)
-    geometry, model, eig, basis = _dense_states(cfg)
-    prof = entropy_profile(eig, basis, half_cut(geometry, left), smoothing=smoothing, bin_width=bin_width)
+    eig, basis, cut = _dense_states(cfg)
+    prof = entropy_profile(eig, basis, cut, smoothing=cfg.smoothing, bin_width=cfg.bin_width)
     ctx.write_csv(
-        f"profile_{smoothing}.csv",
+        f"profile_{cfg.smoothing}.csv",
         ["x", "y"],
         zip(prof.x.tolist(), prof.y.tolist()),
-        metadata=prof.metadata | {"model": model.kind, "left_size": left},
+        metadata=prof.metadata | {"model": cfg.model().kind, "left_size": cfg.left_size},
     )
     return {"states": int(eig.k)}
 
@@ -252,19 +235,13 @@ def _task_profile(ctx: RunContext) -> dict:
 def _task_sweep(ctx: RunContext) -> dict:
     cfg = ctx.cfg
     model = cfg.model()
-    mode = cfg._get("sweep", "mode", required=True)
-    target = cfg.target()
-    bond = cfg._get_float("geometry", "bond_length", default=1.397)
+    mode, lengths, n_sites, blocks, bond = cfg.sweep
     if mode == "length":
-        lengths = cfg._get_ints("sweep", "lengths", required=True)
-        profiles = sweep_ground_state({model.kind: model}, lengths, bond_length=bond,
-                                      tol=target["tol"], seed=target["seed"])
-        prof = profiles[model.kind]
+        prof = sweep_ground_state({model.kind: model}, lengths, bond_length=bond,
+                                  tol=cfg.tol, seed=cfg.seed)[model.kind]
     else:
-        n = cfg._get_int("sweep", "n_sites", required=True)
-        blocks = cfg._get_ints("sweep", "blocks") or None
-        prof = sweep_block_size(model, n_sites=n, blocks=blocks, bond_length=bond,
-                                tol=target["tol"], seed=target["seed"])
+        prof = sweep_block_size(model, n_sites=n_sites, blocks=blocks, bond_length=bond,
+                                tol=cfg.tol, seed=cfg.seed)
     ctx.write_csv(
         f"sweep_{mode}_{model.kind}.csv",
         ["x", "y"],
@@ -276,22 +253,20 @@ def _task_sweep(ctx: RunContext) -> dict:
 
 def _task_dos(ctx: RunContext) -> dict:
     cfg = ctx.cfg
-    left = cfg._get_int("entangle", "left_size", required=True)
-    bin_width = cfg._get_float("profile", "bin_width", default=0.5)
-    geometry, model, eig, basis = _dense_states(cfg)
-    hist = dos_histogram(eig.values, bin_width=bin_width)
+    eig, basis, cut = _dense_states(cfg)
+    hist = dos_histogram(eig.values, bin_width=cfg.bin_width)
     ctx.write_csv(
         "dos.csv",
         ["energy", "count"],
         zip(hist.x.tolist(), hist.y.tolist()),
         metadata=hist.metadata,
     )
-    comp = entropy_vs_logdos(eig, basis, half_cut(geometry, left), bin_width=bin_width)
+    comp = entropy_vs_logdos(eig, basis, cut, bin_width=cfg.bin_width)
     ctx.write_csv(
         "entropy_vs_dos.csv",
         ["energy", "mean_entropy", "log2_dos"],
         zip(comp.energy.tolist(), comp.mean_entropy.tolist(), comp.log2_dos.tolist()),
-        metadata={"spearman": comp.spearman, "bin_width": bin_width, "model": model.kind},
+        metadata={"spearman": comp.spearman, "bin_width": cfg.bin_width, "model": cfg.model().kind},
     )
     return {"spearman": comp.spearman}
 

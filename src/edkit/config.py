@@ -23,6 +23,10 @@ Text grammar (INI style, '#' comments):
     seed = 1
 
 A JSON file with the same section names as top-level keys is equivalent.
+
+`load_config` reads, converts and checks each key its task uses once, before
+any Hamiltonian is built, and builds the geometry (a `[geometry] path` file is
+read once) and the model. The tasks read only the frozen `RunConfig` it returns.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .basis import Sector, SectorError, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, half_cut, load_geometry
 from .solver import DENSE_CAP_DEFAULT
-from .symmetry import SymmetryError, check_block, parse_label
+from .symmetry import SymmetryError, SymmetryLabel, check_block, parse_label, spin_occurs
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "TASKS"]
 
@@ -49,30 +53,54 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; section dicts keep raw values for echoing."""
+    """A resolved run. A field its task does not use keeps its default, and
+    `geometry()` and `model()` return None where the task builds none;
+    `sections` keeps the raw values for the manifest echo."""
 
     task: str
     output: Path
     sections: dict[str, dict[str, str]]
-    path: Path
+    k: int = 1
+    tol: float = 1e-10
+    seed: int = 1
+    label: SymmetryLabel | None = None  # only where the task solves its [target]
+    sector: Sector | None = None
+    subspace: tuple[int, int | None, float | None] | None = None  # (c2, eh, spin)
+    archive: Path | None = None  # the [input] archive of a task that reads one
+    state: int = 1
+    left_size: int | None = None
+    smoothing: str = "none"
+    bin_width: float = 0.5
+    sweep: tuple | None = None  # (mode, lengths, n_sites, blocks, bond_length)
+    _geometry: Geometry | None = None
+    _model: ModelSpec | None = None
+
+    def geometry(self) -> Geometry | None:
+        return self._geometry
+
+    def model(self) -> ModelSpec | None:
+        return self._model
 
     def echo(self) -> dict:
         return {"task": self.task, "output": str(self.output), "sections": self.sections}
 
-    # --- typed accessors -------------------------------------------------
 
-    def _get(self, section: str, key: str, default=None, required: bool = False):
+class _Keys:
+    """Typed reads of the raw sections; a bad value raises ConfigError naming its key."""
+
+    def __init__(self, path: Path, task: str, sections: dict[str, dict[str, str]]) -> None:
+        self.path, self.task, self.sections = path, task, sections
+
+    def raw(self, section: str, key: str, default=None, required: bool = False):
         sec = self.sections.get(section, {})
-        if key not in sec:
-            if required:
-                raise ConfigError(f"[{section}] {key} is required for task {self.task!r}")
-            return default
-        return sec[key]
+        if required and key not in sec:
+            raise ConfigError(f"[{section}] {key} is required for task {self.task!r}")
+        return sec.get(key, default)
 
-    def _get_float(self, section: str, key: str, default=None, required: bool = False):
-        raw = self._get(section, key, default=None, required=required)
+    def number(self, section: str, key: str, default=None):
+        raw = self.raw(section, key)
         if raw is None:
             return default
         try:
@@ -83,47 +111,44 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
         return value
 
-    def _get_int(self, section: str, key: str, default=None, required: bool = False):
-        raw = self._get(section, key, default=None, required=required)
-        if raw is None:
-            return default
+    def integer(self, section: str, key: str, default=None, required: bool = False):
+        raw = self.raw(section, key, required=required)
         try:
-            return int(str(raw))
+            return default if raw is None else int(str(raw))
         except (TypeError, ValueError):
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
 
-    def _get_ints(self, section: str, key: str, required: bool = False) -> list[int] | None:
-        raw = self._get(section, key, required=required)
-        if raw is None:
-            return None
+    def integers(self, section: str, key: str, required: bool = False) -> list[int] | None:
+        raw = self.raw(section, key, required=required)
         try:
-            return [int(v) for v in str(raw).split()]
+            return None if raw is None else [int(v) for v in str(raw).split()]
         except ValueError:
             raise ConfigError(f"[{section}] {key} must be integers, got {raw!r}") from None
 
+    def file(self, section: str, key: str) -> Path:
+        """A required path; a relative one is taken from the config file's directory."""
+        path = Path(self.raw(section, key, required=True))
+        return path if path.is_absolute() else self.path.parent / path
+
     def geometry(self) -> Geometry:
-        kind = str(self._get("geometry", "kind", required=True)).lower()
+        kind = str(self.raw("geometry", "kind", required=True)).lower()
         if kind == "chain":
-            n = self._get_int("geometry", "n_sites", required=True)
-            a = self._get_float("geometry", "bond_length", default=1.397)
-            return build_chain(n, a)
+            n = self.integer("geometry", "n_sites", required=True)
+            return build_chain(n, self.number("geometry", "bond_length", 1.397))
         if kind == "icosahedron":
-            a = self._get_float("geometry", "edge_length", default=1.397)
-            return build_icosahedron(a)
+            return build_icosahedron(self.number("geometry", "edge_length", 1.397))
         if kind == "file":
-            path = self._get("geometry", "path", required=True)
-            resolved = (self.path.parent / path) if not Path(path).is_absolute() else Path(path)
+            path = self.file("geometry", "path")
             try:
-                return load_geometry(resolved)
+                return load_geometry(path)
             except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"[geometry] path {resolved} cannot be read ({exc})") from None
+                raise ConfigError(f"[geometry] path {path} cannot be read ({exc})") from None
         raise ConfigError(f"unknown geometry kind {kind!r}")
 
     def model(self) -> ModelSpec:
-        kind = str(self._get("model", "kind", required=True)).lower()
-        kwargs = {"kind": kind}
+        kwargs = {"kind": str(self.raw("model", "kind", required=True)).lower()}
         for key in ("t", "U", "z", "J", "site_spin"):
-            val = self._get_float("model", key)
+            val = self.number("model", key)
             if val is not None:
                 kwargs[key] = val
         try:
@@ -132,41 +157,34 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def sector(self, model: ModelSpec) -> Sector:
-        tm = self._get_int("sector", "twice_ms", default=0)
+        twice_ms = self.integer("sector", "twice_ms", 0)
         if model.kind == "heisenberg":
-            return Sector(None, tm)
-        ne = self._get_int("sector", "n_electrons", required=True)
+            return Sector(None, twice_ms)
+        n_electrons = self.integer("sector", "n_electrons", required=True)
         try:
-            return Sector(ne, tm)
+            return Sector(n_electrons, twice_ms)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def target(self) -> dict:
-        return {
-            "label": self._get("target", "label"),
-            "k": self._get_int("target", "k", default=1),
-            "tol": self._get_float("target", "tol", default=1e-10),
-            "seed": self._get_int("target", "seed", default=1),
-        }
-
-    def subspace(self) -> dict | None:
-        """The symmetry block of a dense task, or None without a [subspace] section."""
-        if not self.sections.get("subspace"):
-            return None
-        return {
-            "c2": self._get_int("subspace", "c2", default=1),
-            "eh": self._get_int("subspace", "eh"),
-            "spin": self._get_float("subspace", "spin"),
-        }
-
-    def archive_path(self) -> Path:
-        raw = self._get("input", "archive", required=True)
-        p = Path(raw)
-        if not p.is_absolute():
-            p = self.path.parent / p
-        if not p.exists():
-            raise ConfigError(f"input archive {p} does not exist")
-        return p
+    def sweep(self, model: ModelSpec) -> tuple:
+        """Length mode sets the lengths, block mode n_sites and blocks; the others are None."""
+        mode = self.raw("sweep", "mode", required=True)
+        if mode not in ("length", "block"):
+            raise ConfigError(f"[sweep] mode must be 'length' or 'block', got {mode!r}")
+        lengths = n = blocks = None
+        if mode == "length":
+            lengths = self.integers("sweep", "lengths", required=True)
+            if any(size % 2 or size < 4 for size in lengths):
+                raise ConfigError("[sweep] lengths must be even integers >= 4")
+            check_site_limit(max(lengths, default=0), model.kind)
+        else:
+            n = self.integer("sweep", "n_sites", required=True)
+            check_site_limit(n, model.kind)
+            blocks = self.integers("sweep", "blocks") or None
+            outside = [b for b in blocks or () if not 1 <= b < n]
+            if outside:
+                raise ConfigError(f"[sweep] blocks must be in 1..{n - 1}, got {outside[0]}")
+        return mode, lengths, n, blocks, self.number("geometry", "bond_length", 1.397)
 
 
 def _sections_from_ini(path: Path, text: str) -> dict[str, dict[str, str]]:
@@ -209,100 +227,94 @@ def load_config(path) -> RunConfig:
     output = Path(run.get("output", "edkit-out"))
     if not output.is_absolute():
         output = path.parent / output
-    cfg = RunConfig(task=task, output=output, sections=sections, path=path)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    task = cfg.task
-    entangle_from_archive = task == "entangle" and bool(
-        cfg.sections.get("input", {}).get("archive")
+    keys = _Keys(path, task, sections)
+    from_archive = task in ("sector-table", "histogram") or (
+        task == "entangle" and bool(sections.get("input", {}).get("archive"))
     )
-    solves_target = task == "solve" or (task == "entangle" and not entangle_from_archive)
-    needs_solve_blocks = solves_target or task in ("profile", "dos")
-    if needs_solve_blocks:
-        model = cfg.model()
-        geometry = cfg.geometry()
+    solves_target = task in ("solve", "entangle") and not from_archive
+    dense = task in ("profile", "dos")
+    geometry = model = sector = subspace = archive = left = sweep = label = None
+    state, smoothing, bin_width = 1, "none", 0.5
+    if solves_target or dense:
+        model, geometry = keys.model(), keys.geometry()
         check_site_limit(geometry.n_sites, model.kind)
-        sector = cfg.sector(model)
+        sector = keys.sector(model)
         dim = sector_dimension(geometry.n_sites, model.kind, sector, site_spin=model.site_spin)
         if dim == 0:
             raise ConfigError(f"sector {sector} is empty on {geometry.n_sites} sites")
-    sub = cfg.subspace() if task in ("profile", "dos") else None
-    if sub is not None:
+    if dense and sections.get("subspace"):
+        c2, eh, spin = subspace = (keys.integer("subspace", "c2", 1), keys.integer("subspace", "eh"),
+                                   keys.number("subspace", "spin"))
         try:
-            check_block(geometry, sector, sub["c2"], sub["eh"])
+            check_block(geometry, sector, c2, eh)
         except SymmetryError as exc:
             raise ConfigError(f"[subspace] {exc}") from None
-        spin = sub["spin"]
-        if spin is not None and not (spin >= 0 and (2 * spin).is_integer()):
-            raise ConfigError(f"[subspace] spin must be a non-negative half-integer, got {spin}")
         if spin is not None:
+            if not (spin >= 0 and (2 * spin).is_integer()):
+                raise ConfigError(f"[subspace] spin must be a non-negative half-integer, got {spin}")
             n, n_e, twice_s = geometry.n_sites, sector.n_electrons, round(2 * spin)
             # largest 2S: every singly occupied site (every spin site) aligned
             most = min(n_e, 2 * n - n_e) if model.fermionic else n * round(2 * model.site_spin)
-            if not abs(sector.twice_ms) <= twice_s <= most or (twice_s - sector.twice_ms) % 2:
+            if twice_s > most or not spin_occurs(twice_s, sector.twice_ms):
                 raise ConfigError(
                     f"[subspace] spin = {spin} does not occur in {sector} on {n} sites: "
                     f"it needs |2M_S| <= 2S <= {most} and 2S - 2M_S even"
                 )
-    elif task in ("profile", "dos") and dim > DENSE_CAP_DEFAULT:
+    elif dense and dim > DENSE_CAP_DEFAULT:
         raise ConfigError(
             f"the full spectrum of the dimension-{dim} sector is above the dense cap "
             f"{DENSE_CAP_DEFAULT}; choose a symmetry block with [subspace]"
         )
-    if task in ("sector-table", "histogram") or entangle_from_archive:
-        cfg.archive_path()
-    if task in ("sector-table", "histogram", "entangle", "profile", "dos"):
-        left = cfg._get_int("entangle", "left_size", required=True)
-        if needs_solve_blocks:
+    if from_archive:
+        archive = keys.file("input", "archive")
+        if not archive.exists():
+            raise ConfigError(f"input archive {archive} does not exist")
+    if task not in ("solve", "sweep"):
+        left = keys.integer("entangle", "left_size", required=True)
+        if geometry is not None:
             half_cut(geometry, left)  # GeometryError outside 1..n_sites - 1
-    if task in ("profile", "dos"):
-        smoothing = cfg._get("profile", "smoothing", default="none")
+        if from_archive:  # its 1..k range needs the archive, so the task checks it
+            state = keys.integer("entangle", "state", 1)
+    if dense:
+        smoothing = keys.raw("profile", "smoothing", "none")
         if task == "profile" and smoothing not in SMOOTHING_MODES:
             raise ConfigError(f"[profile] smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
-        bin_width = cfg._get_float("profile", "bin_width", default=0.5)
+        bin_width = keys.number("profile", "bin_width", 0.5)
         if bin_width <= 0:
             raise ConfigError(f"[profile] bin_width must be positive, got {bin_width}")
     if task == "sweep":
-        model = cfg.model()
-        mode = cfg._get("sweep", "mode", required=True)
-        if mode not in ("length", "block"):
-            raise ConfigError(f"[sweep] mode must be 'length' or 'block', got {mode!r}")
-        if mode == "length":
-            lengths = cfg._get_ints("sweep", "lengths", required=True)
-            if any(n % 2 or n < 4 for n in lengths):
-                raise ConfigError("[sweep] lengths must be even integers >= 4")
-            check_site_limit(max(lengths, default=0), model.kind)
-        else:
-            n = cfg._get_int("sweep", "n_sites", required=True)
-            check_site_limit(n, model.kind)
-            outside = [b for b in cfg._get_ints("sweep", "blocks") or () if not 1 <= b < n]
-            if outside:
-                raise ConfigError(f"[sweep] blocks must be in 1..{n - 1}, got {outside[0]}")
-    tgt = cfg.target()
-    if tgt["k"] < 1:
+        model = keys.model()
+        sweep = keys.sweep(model)
+    label_text = keys.raw("target", "label")
+    k = keys.integer("target", "k", 1)
+    tol = keys.number("target", "tol", 1e-10)
+    seed = keys.integer("target", "seed", 1)
+    if k < 1:
         raise ConfigError("[target] k must be at least 1")
-    if tgt["tol"] <= 0:
+    if tol <= 0:
         raise ConfigError("[target] tol must be positive")
-    if tgt["seed"] < 0:
-        raise ConfigError(f"[target] seed must be non-negative, got {tgt['seed']}")
-    if solves_target and tgt["label"]:
+    if seed < 0:
+        raise ConfigError(f"[target] seed must be non-negative, got {seed}")
+    if solves_target and label_text:
         if not model.fermionic:
-            raise ConfigError(f"[target] label {tgt['label']} needs a fermionic model, not {model.kind!r}")
+            raise ConfigError(f"[target] label {label_text} needs a fermionic model, not {model.kind!r}")
         try:
-            label = parse_label(tgt["label"])
+            label = parse_label(label_text)
             want = _default_sector(geometry, model, label.twice_ms_highest)
             check_block(geometry, want, label.c2_parity, label.eh_parity)
         except (SectorError, SymmetryError) as exc:
-            raise ConfigError(f"[target] label {tgt['label']} on {geometry.name!r}: {exc}") from None
+            raise ConfigError(f"[target] label {label_text} on {geometry.name!r}: {exc}") from None
         if sector != want:
-            raise ConfigError(f"[target] label {tgt['label']} is solved in {want}, not in {sector}")
-    elif solves_target and tgt["k"] > dim:
-        raise ConfigError(f"[target] k = {tgt['k']} exceeds the sector dimension {dim}")
-    elif solves_target and tgt["k"] >= dim - 1 and dim > DENSE_CAP_DEFAULT:
+            raise ConfigError(f"[target] label {label_text} is solved in {want}, not in {sector}")
+    elif solves_target and k > dim:
+        raise ConfigError(f"[target] k = {k} exceeds the sector dimension {dim}")
+    elif solves_target and k >= dim - 1 and dim > DENSE_CAP_DEFAULT:
         raise ConfigError(
-            f"[target] k = {tgt['k']} asks for the full spectrum of a dimension-{dim} "
+            f"[target] k = {k} asks for the full spectrum of a dimension-{dim} "
             f"sector, above the dense cap {DENSE_CAP_DEFAULT}"
         )
+    return RunConfig(
+        task, output, sections, k=k, tol=tol, seed=seed, label=label, sector=sector,
+        subspace=subspace, archive=archive, state=state, left_size=left, smoothing=smoothing,
+        bin_width=bin_width, sweep=sweep, _geometry=geometry, _model=model,
+    )

@@ -66,6 +66,7 @@ __all__ = [
     "c2_operator",
     "eh_operator",
     "projector",
+    "spin_occurs",
     "spin_squared",
     "total_spin",
     "raising_operator",
@@ -337,11 +338,16 @@ def total_spin(vector: np.ndarray, basis: BasisTable, tol: float = 1e-6) -> floa
     return _spin_of(spin_squared(vector, basis), basis.sector.twice_ms, tol)
 
 
+def spin_occurs(twice_s: int, twice_ms: int) -> bool:
+    """Whether a spin-S multiplet has a member at 2M_S: |2M_S| <= 2S, 2S - 2M_S even."""
+    return abs(twice_ms) <= twice_s and (twice_s - twice_ms) % 2 == 0
+
+
 def _spin_of(s2: float, twice_ms: int, tol: float = 1e-6) -> float:
     """The S, compatible with 2M_S, whose S(S+1) lies within tol of <S^2>."""
     twice_s = round(sqrt(1.0 + 4.0 * max(s2, 0.0)) - 1.0)
     s = twice_s / 2.0
-    if (twice_s - twice_ms) % 2 or twice_s < abs(twice_ms) or abs(s2 - s * (s + 1.0)) > tol:
+    if not spin_occurs(twice_s, twice_ms) or abs(s2 - s * (s + 1.0)) > tol:
         raise MixedSpinError(
             f"<S^2> = {s2:.8f} is not within {tol} of any S(S+1) compatible with 2M_S = {twice_ms}"
         )

@@ -906,3 +906,22 @@ def test_sweep_blocks_checked_at_load(tmp_path, capsys, monkeypatch, blocks, mes
             f"[sweep]\nmode = block\nn_sites = 6\nblocks = {blocks}\n")
     assert main(["run", str(_write(tmp_path, "sweep.cfg", text))]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [("0", "[entangle] state must be in 1..4, got 0"),
+     ("5", "[entangle] state must be in 1..4, got 5"),
+     ("x", "[entangle] state must be an integer, got 'x'")],
+    ids=["zero", "above-k", "not-an-integer"],
+)
+@pytest.mark.parametrize("task", ["sector-table", "histogram", "entangle"])
+def test_archive_state_outside_1_to_k_exit_2(tmp_path, capsys, task, state, message):
+    solve = _write(tmp_path, "solve.cfg", SOLVE_CFG.format(out=tmp_path / "out"))
+    assert main(["run", str(solve)]) == 0  # an archive of k = 4 states
+    text = (f"[run]\ntask = {task}\noutput = {tmp_path / 'state_out'}\n"
+            f"[input]\narchive = {tmp_path / 'out' / 'eigenpairs.edarch'}\n"
+            f"[entangle]\nleft_size = 1\nstate = {state}\n")
+    capsys.readouterr()
+    assert main(["run", str(_write(tmp_path, "state.cfg", text))]) == 2
+    assert message in capsys.readouterr().err
