@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import SMOOTHING_MODES, _default_sector
+from .archive import ArchiveError, read_header
 from .basis import Sector, SectorError, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
-from .lattice import Geometry, build_chain, build_icosahedron, half_cut, load_geometry
+from .lattice import Geometry, build_chain, build_icosahedron, load_geometry
 from .solver import DENSE_CAP_DEFAULT
 from .symmetry import SymmetryError, SymmetryLabel, check_block, parse_label, spin_occurs
 
@@ -64,7 +65,7 @@ class RunConfig:
     sections: dict[str, dict[str, str]]
     k: int = 1
     tol: float = 1e-10
-    seed: int = 1
+    seed: int | None = None  # only where the task draws start vectors
     label: SymmetryLabel | None = None  # only where the task solves its [target]
     sector: Sector | None = None
     subspace: tuple[int, int | None, float | None] | None = None  # (c2, eh, spin)
@@ -212,6 +213,15 @@ def _sections_from_json(path: Path, text: str) -> dict[str, dict[str, str]]:
     return out
 
 
+def _archive_sites(path: Path) -> int | None:
+    """The site count in an archive's header; None where the header gives
+    none, and the task then reports the fault as it reads the archive."""
+    try:
+        return len(read_header(path)["geometry"]["coords"])
+    except (ArchiveError, KeyError, TypeError):
+        return None
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -271,9 +281,10 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"input archive {archive} does not exist")
     if task not in ("solve", "sweep"):
         left = keys.integer("entangle", "left_size", required=True)
-        if geometry is not None:
-            half_cut(geometry, left)  # GeometryError outside 1..n_sites - 1
-        if from_archive:  # its 1..k range needs the archive, so the task checks it
+        n_sites = _archive_sites(archive) if from_archive else geometry.n_sites
+        if n_sites is not None and not 1 <= left < n_sites:
+            raise ConfigError(f"[entangle] left_size must be in 1..{n_sites - 1}, got {left}")
+        if from_archive:  # its 1..k range needs the archive's payload, so the task checks it
             state = keys.integer("entangle", "state", 1)
     if dense:
         smoothing = keys.raw("profile", "smoothing", "none")
@@ -285,16 +296,20 @@ def load_config(path) -> RunConfig:
     if task == "sweep":
         model = keys.model()
         sweep = keys.sweep(model)
-    label_text = keys.raw("target", "label")
-    k = keys.integer("target", "k", 1)
-    tol = keys.number("target", "tol", 1e-10)
-    seed = keys.integer("target", "seed", 1)
-    if k < 1:
-        raise ConfigError("[target] k must be at least 1")
-    if tol <= 0:
-        raise ConfigError("[target] tol must be positive")
-    if seed < 0:
-        raise ConfigError(f"[target] seed must be non-negative, got {seed}")
+    # [target] is read only by the runs that draw Lanczos start vectors
+    k, tol, seed, label_text = 1, 1e-10, None, None
+    if solves_target:
+        label_text = keys.raw("target", "label")
+        k = keys.integer("target", "k", 1)
+        if k < 1:
+            raise ConfigError("[target] k must be at least 1")
+    if solves_target or task == "sweep":
+        tol = keys.number("target", "tol", 1e-10)
+        seed = keys.integer("target", "seed", 1)
+        if tol <= 0:
+            raise ConfigError("[target] tol must be positive")
+        if seed < 0:
+            raise ConfigError(f"[target] seed must be non-negative, got {seed}")
     if solves_target and label_text:
         if not model.fermionic:
             raise ConfigError(f"[target] label {label_text} needs a fermionic model, not {model.kind!r}")

@@ -137,6 +137,8 @@ class ModelSpec:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ModelError(f"{name} must be finite, got {v}")
+        if self.kind == "ppp" and not self.U > 0:  # the Ohno potential needs U_i + U_j > 0
+            raise ModelError(f"U must be positive for the PPP model, got {self.U}")
         if self.kind == "heisenberg" and round(2 * self.site_spin) not in (1, 2):
             raise ModelError(f"site_spin must be 1/2 or 1, got {self.site_spin}")
 
@@ -263,9 +265,8 @@ def _fermion_factors(
         diag += spec.U * (occ_u @ occ_d.T)
     if spec.kind == "ppp":
         d = geometry.distance_matrix
-        v = np.zeros_like(d)
-        off = ~np.eye(n, dtype=bool)
-        v[off] = 14.397 / np.sqrt((28.794 / (2.0 * spec.U)) ** 2 + d[off] ** 2)
+        v = np.array([[ohno_potential(spec.U, spec.U, r) for r in row] for row in d])
+        np.fill_diagonal(v, 0.0)  # V_ij for i != j only
         w = v.sum(axis=1)
         z = spec.z
         a_up = 0.5 * np.einsum("in,nm,im->i", occ_u, v, occ_u) - z * (occ_u @ w)
@@ -286,11 +287,12 @@ def _kron_sum(t_up: sp.csr_matrix, t_dn: sp.csr_matrix, diag: np.ndarray) -> sp.
 
     The three terms never share an entry, so row (u, d) holds the nonzeros
     of row u of T_up and row d of T_dn and a nonzero D_ud, and `indptr` is
-    known before any sum.  The sums then run over blocks of rows, each
-    written into the final arrays as a whole-matrix sum would give it.  The
-    blocks in flight hold about 2^20 nonzeros in all, so the build holds
-    one full-size matrix instead of the inputs and output of whole-matrix
-    sums (at 12 sites a 156 MiB tracemalloc peak against 264).
+    known before any sum.  The sums then run over blocks of rows of about
+    2^20 nonzeros, one after another on the calling thread, each written
+    into the final arrays as a whole-matrix sum would give it, so the build
+    holds one full-size matrix instead of the inputs and output of
+    whole-matrix sums (at 12 sites a 175 MiB tracemalloc peak of the whole
+    build against 271).
     """
     nu, nd = diag.shape
     eye_nu, eye_nd = sp.identity(nu, format="csr"), sp.identity(nd, format="csr")
@@ -306,8 +308,9 @@ def _kron_sum(t_up: sp.csr_matrix, t_dn: sp.csr_matrix, diag: np.ndarray) -> sp.
     if diag is not None:
         counts += diag != 0
     np.cumsum(indptr, out=indptr)
-
-    def rows(a: int, b: int) -> None:
+    step = max(1, (nu * _BLOCK << 4) // max(nnz, 1))
+    for a in range(0, nu, step):
+        b = min(a + step, nu)
         h = sp.kron(t_up[a:b], eye_nd, format="csr") + sp.kron(eye_nu[a:b], t_dn, format="csr")
         if diag is not None:
             shape = ((b - a) * nd, nu * nd)
@@ -315,8 +318,6 @@ def _kron_sum(t_up: sp.csr_matrix, t_dn: sp.csr_matrix, diag: np.ndarray) -> sp.
         start, end = indptr[a * nd], indptr[b * nd]
         data[start:end] = h.data
         indices[start:end] = h.indices
-
-    _in_blocks(rows, nu, (nu * _BLOCK << 4) // max(nnz * _workers(), 1))
     return sp.csr_matrix((data, indices, indptr), shape=(nu * nd, nu * nd))
 
 

@@ -22,8 +22,8 @@ Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
 projector of the operator's sector and its sparse orthonormal orbit basis Q
 (about a quarter of the sector), and `_restrict` forms Q^T H Q.
 `dense_subspace_spectrum` diagonalizes that block densely and
-`lowest_in_label` asks the Lanczos solver for k of its states, doubling the
-count up to k + 40 while fewer than k carry the label's spin; both lift the
+`lowest_in_label` walks its Lanczos states one at a time, each solved once,
+up to k + 40, until k of them carry the label's spin; both lift the
 vectors back with Q, rotate degenerate manifolds to sharp S^2 and keep the
 states of one total spin by the same rule, `_select_spin`.  Both spin steps
 use the sparse S+ of `symmetry.raising_operator` on whole blocks:
@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 DENSE_CAP_DEFAULT = 20000
+MAX_MATVECS_DEFAULT = 100000  # the product budget of one Lanczos solve
 DEGENERATE_RTOL = 1e-9  # every degenerate grouping: |E - E_first| <= rtol * max(1, |E_first|)
 
 
@@ -246,7 +247,7 @@ def lanczos_lowest(
     k: int = 1,
     tol: float = 1e-10,
     seed: int = 1,
-    max_matvecs: int = 100000,
+    max_matvecs: int = MAX_MATVECS_DEFAULT,
 ) -> EigenSet:
     """Lowest k eigenpairs, one two-pass Lanczos solve per state.
 
@@ -265,11 +266,17 @@ def lanczos_lowest(
         raise SolverError(f"requested {k} eigenpairs from a dimension-{dim} sector")
     if k >= dim - 1:  # all states, or all but one: cheaper densely
         return _checked_eigenset(mat, dense_spectrum(mat).vectors[:, :k], tol)
+    return list(_lowest_states(operator, k, tol, seed, max_matvecs))[-1]
+
+
+def _lowest_states(operator, n: int, tol: float, seed: int, max_matvecs: int) -> Iterator[EigenSet]:
+    """The lowest 1, 2, ..., n eigenpairs of `lanczos_lowest`, one state more per
+    item; each state is solved once, into a (dim, n) buffer that the items view."""
+    mat = _as_matrix(operator)
     rng = np.random.default_rng(seed)
     apply = operator if isinstance(operator, SparseOperator) else mat
-    c = _gershgorin(mat) + 1.0 if k > 1 else 0.0  # above every eigenvalue of H
-    vecs = np.empty((dim, k), order="F")
-    vals, res = np.empty(k), np.empty(k)
+    vecs = np.empty((mat.shape[0], n), order="F")
+    vals, res = np.empty(n), np.empty(n)
     matvecs = 0
 
     def product(x: np.ndarray) -> np.ndarray:  # H deflated by the i states found
@@ -279,11 +286,13 @@ def lanczos_lowest(
             y += v @ ((c - vals[:i]) * (v.T @ x))
         return y
 
-    for i in range(k):
-        eig = _two_pass(product, mat, rng.standard_normal(dim), tol, max_matvecs - matvecs)
+    for i in range(n):
+        if i == 1:  # the shift: above every eigenvalue of H
+            c = _gershgorin(mat) + 1.0
+        eig = _two_pass(product, mat, rng.standard_normal(len(vecs)), tol, max_matvecs - matvecs)
         vecs[:, i], vals[i], res[i] = eig.vectors[:, 0], eig.values[0], eig.residuals[0]
         matvecs += eig.matvecs
-    return EigenSet(values=vals, vectors=vecs, residuals=res, matvecs=matvecs)
+        yield EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1], matvecs=matvecs)
 
 
 def _gershgorin(mat) -> float:
@@ -463,38 +472,33 @@ def lowest_in_label(
     The Lanczos solve runs on Q^T H Q, with Q the orthonormal orbit basis
     of the requested (C2, eh) subspace, and the vectors are lifted back to
     sector coordinates; the sector must be the label's highest-weight
-    sector (2M_S = 2S).  The block solve asks for k states and doubles the
-    count, up to k + 40, while fewer than k carry the label's total spin.
+    sector (2M_S = 2S).  The block's states are solved one at a time, each
+    once, up to k + 40, until k of them carry the label's total spin.
     Residuals are checked on the full H and only matching states return;
     `matvecs` counts the block products and those checks.
     """
+    if k < 1:
+        raise SolverError(f"k must be at least 1, got {k}")
     basis = operator.basis
-    want_tm = label.twice_ms_highest
-    if basis.sector.twice_ms != want_tm:
+    if basis.sector.twice_ms != label.twice_ms_highest:
         raise SolverError(
-            f"label {format_label(label)} is solved in the 2M_S = {want_tm} sector, "
+            f"label {format_label(label)} is solved in the 2M_S = {label.twice_ms_highest} sector, "
             f"but the operator was built for 2M_S = {basis.sector.twice_ms}"
         )
     proj, q = _symmetry_subspace(operator, label.c2_parity, label.eh_parity, format_label(label))
-    m = q.shape[1]
     hs = _restrict(operator, q)
-
-    solve_k = k
-    cap = min(m, k + 40)
-    matvecs = 0
-    while True:
-        sub = lanczos_lowest(hs, k=min(solve_k, m), tol=tol, seed=seed)
+    checks = 0
+    for sub in _lowest_states(hs, min(q.shape[1], k + 40), tol, seed, MAX_MATVECS_DEFAULT):
         eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
-        matvecs += sub.matvecs + eig.matvecs
+        checks += eig.matvecs
         eig = sharpen_spin(eig, basis)
         sel = _select_spin(eig, basis, label.total_spin)[:k]
-        if len(sel) >= k or solve_k >= cap:
+        if len(sel) >= k:
             break
-        solve_k = min(cap, solve_k * 2)
     if len(sel) < k:
         raise SolverError(
             f"found only {len(sel)} of {k} states with label {format_label(label)} "
-            f"among the lowest {min(solve_k, m)} of the symmetry subspace"
+            f"among the lowest {sub.k} of the symmetry subspace"
         )
     vecs = eig.vectors[:, sel]
     drift = float(np.max(np.linalg.norm(proj.apply(vecs) - vecs, axis=0), initial=0.0))
@@ -505,5 +509,5 @@ def lowest_in_label(
         vectors=vecs,
         residuals=eig.residuals[sel],
         labels=[format_label(label)] * len(sel),
-        matvecs=matvecs,
+        matvecs=sub.matvecs + checks,
     )

@@ -925,3 +925,53 @@ def test_archive_state_outside_1_to_k_exit_2(tmp_path, capsys, task, state, mess
     capsys.readouterr()
     assert main(["run", str(_write(tmp_path, "state.cfg", text))]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u", ["0", "-3"])
+def test_ppp_needs_positive_u(tmp_path, capsys, monkeypatch, u):
+    # the Ohno potential needs U_i + U_j > 0: U = 0 ended in a
+    # ZeroDivisionError traceback, and U = -3 ran with a potential that
+    # ohno_potential itself rejects
+    _never_build(monkeypatch)
+    text = TARGET_CFG.format(task="solve", out=tmp_path / "out", n_sites=4, model="ppp",
+                             n_electrons=4, twice_ms=0, target="k = 1")
+    assert main(["run", str(_write(tmp_path, "ppp.cfg", text.replace("U = 4.0", f"U = {u}")))]) == 2
+    assert f"config error: U must be positive for the PPP model, got {float(u)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task", ["sector-table", "histogram", "entangle"])
+def test_archive_tasks_read_no_target(tmp_path, task):
+    # a run that draws no start vector reads no [target] key and records no seed
+    solve = _write(tmp_path, "solve.cfg", SOLVE_CFG.format(out=tmp_path / "out"))
+    assert main(["run", str(solve)]) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 1
+    text = (f"[run]\ntask = {task}\noutput = {tmp_path / 'task_out'}\n"
+            f"[input]\narchive = {tmp_path / 'out' / 'eigenpairs.edarch'}\n"
+            f"[entangle]\nleft_size = 1\n[target]\nk = 0\ntol = -1\nseed = 9\n")
+    assert main(["run", str(_write(tmp_path, "task.cfg", text))]) == 0
+    assert json.loads((tmp_path / "task_out" / "manifest.json").read_text())["seed"] is None
+
+
+@pytest.mark.parametrize("left_size", ["0", "2"])
+@pytest.mark.parametrize("task", ["sector-table", "histogram", "entangle"])
+def test_archive_left_size_checked_at_load(tmp_path, capsys, monkeypatch, task, left_size):
+    # the site count comes from the archive's header: no payload is read and
+    # no manifest is written
+    import edkit.cli as cli
+
+    solve = _write(tmp_path, "solve.cfg", SOLVE_CFG.format(out=tmp_path / "out"))
+    assert main(["run", str(solve)]) == 0  # a 2-site archive
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the archive was read before the config was checked")
+
+    monkeypatch.setattr(cli, "read_archive", never)
+    text = (f"[run]\ntask = {task}\noutput = {tmp_path / 'task_out'}\n"
+            f"[input]\narchive = {tmp_path / 'out' / 'eigenpairs.edarch'}\n"
+            f"[entangle]\nleft_size = {left_size}\n")
+    assert main(["run", str(_write(tmp_path, "task.cfg", text))]) == 2
+    assert (f"config error: [entangle] left_size must be in 1..1, got {left_size}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "task_out").exists()

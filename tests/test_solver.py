@@ -8,11 +8,13 @@ from edkit.basis import Sector
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import build_chain, build_icosahedron
 from edkit.solver import (
+    MAX_MATVECS_DEFAULT,
     DimensionCapError,
     EigenSet,
     NonConvergenceError,
     SolverError,
     _gershgorin,
+    _lowest_states,
     _recur,
     dense_spectrum,
     dense_subspace_spectrum,
@@ -293,7 +295,8 @@ def test_lowest_in_label_empty_subspace():
 
 def test_lowest_in_label_tiny_subspace():
     # the A_g+ subspace of the two-site half-filled sector holds exactly two
-    # singlets; the over-solve must cope with running out of directions
+    # singlets; the walk through its states must cope with running out of
+    # directions
     g = build_chain(2)
     h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0))
     eig = lowest_in_label(h, parse_label("1_Ag+"), k=2, tol=1e-10)
@@ -417,37 +420,54 @@ def test_lanczos_finds_every_copy_of_a_degenerate_level():
     assert np.abs(eig.vectors.T @ eig.vectors - np.eye(6)).max() < 1e-10
 
 
-def _block_solve_calls(monkeypatch) -> list:
-    """The k of every block solve `lowest_in_label` asks `lanczos_lowest` for."""
+def _two_pass_calls(monkeypatch) -> list:
+    """One entry per two-pass Lanczos solve, that is per state solved."""
     import edkit.solver
 
     calls = []
-    solve = edkit.solver.lanczos_lowest
+    solve = edkit.solver._two_pass
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("k"))
+        calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(edkit.solver, "lanczos_lowest", spy)
+    monkeypatch.setattr(edkit.solver, "_two_pass", spy)
     return calls
 
 
-def test_lowest_in_label_k1_is_one_block_solve(monkeypatch):
-    # the block's lowest state carries the label's spin: one block solve for
-    # one state
-    calls = _block_solve_calls(monkeypatch)
+def test_lowest_in_label_k1_is_one_two_pass_solve(monkeypatch):
+    # the block's lowest state carries the label's spin: one solve for one
+    # state
+    calls = _two_pass_calls(monkeypatch)
     h = build_model(build_chain(10), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(10, 0))
     eig = lowest_in_label(h, parse_label("1_Ag+"), k=1, tol=1e-10)
-    assert calls == [1]
+    assert len(calls) == 1
     assert eig.labels == ["1_Ag+"] and eig.residuals[0] <= 1e-10
 
 
-def test_lowest_in_label_grows_until_spin_found(monkeypatch):
-    # the lowest state of the 8-site (C2 -1, eh +1) block is not a singlet,
-    # so the solve doubles its count until a singlet turns up
-    calls = _block_solve_calls(monkeypatch)
+def test_lowest_in_label_solves_each_block_state_once(monkeypatch):
+    # the lowest states of the 8-site (C2 -1, eh +1) block are not singlets,
+    # so the solve walks the block's states up to the first singlet, solving
+    # each of them once
     h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    block = dense_subspace_spectrum(h, -1, 1)
+    drawn = 1 + next(i for i in range(block.k) if total_spin(block.vectors[:, i], h.basis) == 0.0)
+    calls = _two_pass_calls(monkeypatch)
     eig = lowest_in_label(h, parse_label("1_Bu+"), k=1, tol=1e-10)
-    assert calls[0] == 1 and len(calls) > 1
+    assert drawn > 1 and len(calls) == drawn
     assert abs(eig.values[0] - dense_subspace_spectrum(h, -1, 1, spin=0.0).values[0]) < 1e-9
     assert total_spin(eig.vectors[:, 0], h.basis) == 0.0
+
+
+def test_lowest_states_item_j_is_the_j_state_solve():
+    # a k-state solve is the prefix of a larger one: item j of the stream is
+    # lanczos_lowest(k=j), bit for bit
+    h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    items = list(_lowest_states(h, 4, 1e-10, 1, MAX_MATVECS_DEFAULT))
+    assert [item.k for item in items] == [1, 2, 3, 4]
+    for j, item in enumerate(items, start=1):
+        ref = lanczos_lowest(h, k=j, tol=1e-10, seed=1)
+        assert item.values.tobytes() == ref.values.tobytes()
+        assert item.vectors.tobytes() == ref.vectors.tobytes()
+        assert item.residuals.tobytes() == ref.residuals.tobytes()
+        assert item.matvecs == ref.matvecs
