@@ -139,9 +139,7 @@ def _archive_state(cfg: RunConfig) -> tuple[int, str | None, RDMSpectrum]:
     """The [entangle] state of the input archive: its number, its stored
     label and its Schmidt spectrum across the cut after left_size sites."""
     arch = read_archive(cfg.archive)
-    eig, state = arch.eigenset, cfg.state
-    if not 1 <= state <= eig.k:
-        raise ConfigError(f"[entangle] state must be in 1..{eig.k}, got {state}")
+    eig, state = arch.eigenset, cfg.state  # load checked 1 <= state <= k on this header
     basis = enumerate_sector(
         arch.geometry, arch.model.kind, arch.sector, site_spin=arch.model.site_spin
     )

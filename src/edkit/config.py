@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import SMOOTHING_MODES, _default_sector
-from .archive import ArchiveError, read_header
+from .archive import ArchiveError, _check_header, read_header
 from .basis import Sector, SectorError, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, load_geometry
@@ -213,13 +213,16 @@ def _sections_from_json(path: Path, text: str) -> dict[str, dict[str, str]]:
     return out
 
 
-def _archive_sites(path: Path) -> int | None:
-    """The site count in an archive's header; None where the header gives
-    none, and the task then reports the fault as it reads the archive."""
+def _archive_sites(path: Path) -> tuple[int | None, int | None]:
+    """The site count and the state count k in an archive's header, once it
+    passes the header check of `read_archive`; None, None otherwise, and
+    the task then reports the fault as it reads the archive."""
     try:
-        return len(read_header(path)["geometry"]["coords"])
+        header = read_header(path)
+        _check_header(path, header)
+        return len(header["geometry"]["coords"]), header["shape"][0]
     except (ArchiveError, KeyError, TypeError):
-        return None
+        return None, None
 
 
 def load_config(path) -> RunConfig:
@@ -281,11 +284,13 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"input archive {archive} does not exist")
     if task not in ("solve", "sweep"):
         left = keys.integer("entangle", "left_size", required=True)
-        n_sites = _archive_sites(archive) if from_archive else geometry.n_sites
+        n_sites, n_states = _archive_sites(archive) if from_archive else (geometry.n_sites, None)
         if n_sites is not None and not 1 <= left < n_sites:
             raise ConfigError(f"[entangle] left_size must be in 1..{n_sites - 1}, got {left}")
-        if from_archive:  # its 1..k range needs the archive's payload, so the task checks it
+        if from_archive:
             state = keys.integer("entangle", "state", 1)
+            if n_states is not None and not 1 <= state <= n_states:
+                raise ConfigError(f"[entangle] state must be in 1..{n_states}, got {state}")
     if dense:
         smoothing = keys.raw("profile", "smoothing", "none")
         if task == "profile" and smoothing not in SMOOTHING_MODES:

@@ -21,20 +21,21 @@ H products.
 Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
 projector of the operator's sector and its sparse orthonormal orbit basis Q
 (about a quarter of the sector), and `_restrict` forms Q^T H Q.
-`dense_subspace_spectrum` diagonalizes that block densely and
-`lowest_in_label` walks its Lanczos states one at a time, each solved once,
-up to k + 40, until k of them carry the label's spin; both lift the
-vectors back with Q, rotate degenerate manifolds to sharp S^2 and keep the
-states of one total spin by the same rule, `_select_spin`.  Both spin steps
-use the sparse S+ of `symmetry.raising_operator` on whole blocks:
-`sharpen_spin` forms each manifold's S^2 Gram matrix from its raised images,
-and `_select_spin` takes <S^2> of every candidate from one product.
-`lowest_in_label` checks the returned block against the projector P itself,
-not against Q: one `P @ block` product must leave every vector within 1e-8.
+`dense_subspace_spectrum` diagonalizes that block densely;
+`lowest_in_label` draws its Lanczos states one at a time, each solved once,
+up to k + 40, and lifts each with Q and checks its residual on the full H
+once, so its `matvecs` are the block products plus one check per drawn
+state.  Both end in one step, `_sharp_states`: `sharpen_spin` rotates each
+degenerate manifold to sharp S^2 from the Gram matrix of its images under
+the sparse S+ of `symmetry.raising_operator`, and the lowest states of one
+sharp total spin are kept.  `lowest_in_label` checks the returned block
+against the projector P itself, not against Q: one `P @ block` product must
+leave every vector within 1e-8.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -182,20 +183,6 @@ def _restrict(operator: SparseOperator, subspace: sp.csr_matrix) -> sp.csr_matri
     return (0.5 * (hs + hs.T)).tocsr()
 
 
-def _select_spin(eigenset: EigenSet, basis: BasisTable, spin: float) -> list[int]:
-    """Indices of the states with sharp total spin `spin`, lowest first;
-    states of mixed spin are skipped."""
-    sel: list[int] = []
-    for i, s2 in enumerate(spin_squared(eigenset.vectors, basis)):
-        try:
-            s = _spin_of(s2, basis.sector.twice_ms)
-        except MixedSpinError:
-            continue
-        if abs(s - spin) < 0.25:
-            sel.append(i)
-    return sel
-
-
 def dense_spectrum(operator, cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
     """All eigenpairs of a Hermitian operator, ascending."""
     mat = _as_matrix(operator)
@@ -231,15 +218,10 @@ def dense_subspace_spectrum(
     vals, y = sla.eigh(_restrict(operator, q).toarray())
     vecs = _canonical_sign(q @ y)
     res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
-    eig = sharpen_spin(EigenSet(values=vals, vectors=vecs, residuals=res), operator.basis)
-    if spin is None:
-        return eig
-    keep = _select_spin(eig, operator.basis, spin)
-    if not keep:
+    eig = _sharp_states(EigenSet(values=vals, vectors=vecs, residuals=res), operator.basis, spin)
+    if not eig.k:
         raise SolverError(f"no states of total spin {spin} in the {name} symmetry subspace")
-    return EigenSet(
-        values=eig.values[keep], vectors=eig.vectors[:, keep], residuals=eig.residuals[keep]
-    )
+    return eig
 
 
 def lanczos_lowest(
@@ -460,6 +442,21 @@ def sharpen_spin(eigenset: EigenSet, basis: BasisTable) -> EigenSet:
     )
 
 
+def _sharp_states(eig: EigenSet, basis: BasisTable, spin: float | None, k: int | None = None) -> EigenSet:
+    """`sharpen_spin`, then with `spin` given the lowest k states (all where k
+    is None) of that sharp total spin; states of mixed spin are skipped."""
+    eig = sharpen_spin(eig, basis)
+    if spin is None:
+        return eig
+    keep = []
+    for i, s2 in enumerate(spin_squared(eig.vectors, basis)):  # <S^2> of every state from one product
+        with contextlib.suppress(MixedSpinError):
+            if abs(_spin_of(s2, basis.sector.twice_ms) - spin) < 0.25:
+                keep.append(i)
+    keep = keep[:k]
+    return EigenSet(values=eig.values[keep], vectors=eig.vectors[:, keep], residuals=eig.residuals[keep])
+
+
 def lowest_in_label(
     operator: SparseOperator,
     label: SymmetryLabel,
@@ -472,10 +469,11 @@ def lowest_in_label(
     The Lanczos solve runs on Q^T H Q, with Q the orthonormal orbit basis
     of the requested (C2, eh) subspace, and the vectors are lifted back to
     sector coordinates; the sector must be the label's highest-weight
-    sector (2M_S = 2S).  The block's states are solved one at a time, each
-    once, up to k + 40, until k of them carry the label's total spin.
-    Residuals are checked on the full H and only matching states return;
-    `matvecs` counts the block products and those checks.
+    sector (2M_S = 2S).  The block's states are drawn one at a time, each
+    solved once, up to k + 40, until k of them carry the label's total
+    spin.  Each drawn state is lifted and its residual checked on the full
+    H once; `matvecs` counts the block products and one check per drawn
+    state.
     """
     if k < 1:
         raise SolverError(f"k must be at least 1, got {k}")
@@ -486,28 +484,24 @@ def lowest_in_label(
             f"but the operator was built for 2M_S = {basis.sector.twice_ms}"
         )
     proj, q = _symmetry_subspace(operator, label.c2_parity, label.eh_parity, format_label(label))
-    hs = _restrict(operator, q)
-    checks = 0
-    for sub in _lowest_states(hs, min(q.shape[1], k + 40), tol, seed, MAX_MATVECS_DEFAULT):
-        eig = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors), tol)
-        checks += eig.matvecs
-        eig = sharpen_spin(eig, basis)
-        sel = _select_spin(eig, basis, label.total_spin)[:k]
-        if len(sel) >= k:
+    n = min(q.shape[1], k + 40)
+    vecs, vals, res = np.empty((q.shape[0], n), order="F"), np.empty(n), np.empty(n)
+    prev = np.empty(0)
+    for i, sub in enumerate(_lowest_states(_restrict(operator, q), n, tol, seed, MAX_MATVECS_DEFAULT)):
+        # the new state's column, after the found values it ties: the first to differ from the previous item
+        j = int(np.argmax(np.append(sub.values[:-1] != prev, True)))
+        new = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors[:, j:j + 1]), tol)
+        vecs[:, i], vals[i], res[i] = new.vectors[:, 0], new.values[0], new.residuals[0]
+        prev = sub.values
+        eig = _sharp_states(EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1]), basis, label.total_spin, k)
+        if eig.k == k:
             break
-    if len(sel) < k:
+    else:
         raise SolverError(
-            f"found only {len(sel)} of {k} states with label {format_label(label)} "
-            f"among the lowest {sub.k} of the symmetry subspace"
+            f"found only {eig.k} of {k} states with label {format_label(label)} "
+            f"among the lowest {n} of the symmetry subspace"
         )
-    vecs = eig.vectors[:, sel]
-    drift = float(np.max(np.linalg.norm(proj.apply(vecs) - vecs, axis=0), initial=0.0))
+    drift = float(np.max(np.linalg.norm(proj.apply(eig.vectors) - eig.vectors, axis=0), initial=0.0))
     if drift > 1e-8:
         raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
-    return EigenSet(
-        values=eig.values[sel],
-        vectors=vecs,
-        residuals=eig.residuals[sel],
-        labels=[format_label(label)] * len(sel),
-        matvecs=sub.matvecs + checks,
-    )
+    return EigenSet(eig.values, eig.vectors, eig.residuals, [format_label(label)] * k, sub.matvecs + i + 1)

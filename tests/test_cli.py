@@ -925,6 +925,7 @@ def test_archive_state_outside_1_to_k_exit_2(tmp_path, capsys, task, state, mess
     capsys.readouterr()
     assert main(["run", str(_write(tmp_path, "state.cfg", text))]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "state_out").exists()  # load stopped it: no manifest
 
 
 @pytest.mark.parametrize("u", ["0", "-3"])

@@ -47,10 +47,13 @@ def test_traced_calls_leave_no_null_metric():
         eig, basis = analysis.labeled_state(chain, spec, "1_Ag+", k=1, seed=1)
         entanglement.schmidt_spectrum(ground.vectors[:, 0], h.basis, cut)
         analysis.entropy_profile(eig, basis, cut)
+        analysis.subspace_spectrum(chain, spec, 0, -1, 1, spin=0.0)
         wall = time.perf_counter() - t0
     finally:
         tracer.uninstall()
     assert not tracer.missing
     metrics, _ = tracer.summary(wall)
     assert [name for name, value in metrics.items() if value is None] == []
+    # both block solves reach `sharpen_spin` through the module, so the span stays
+    assert all(metrics[name] > 0 for name in ("solver.sharpen_s", "solver.dense_eigh_s", "solver.label_solve_s"))
     json.dumps(metrics, allow_nan=False)
