@@ -20,7 +20,10 @@ H products.
 
 Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
 projector of the operator's sector and its sparse orthonormal orbit basis Q
-(about a quarter of the sector), and `_restrict` forms Q^T H Q.
+(about a quarter of the sector), and `_restrict` forms Q^T H Q.  Where a
+total spin S is asked of a 2M_S = 0 sector (a `spin` of the dense block, or
+a singlet label), spin inversion of parity (-1)^S is a third generator: the
+block then holds only every other S and is about an eighth of the sector.
 `dense_subspace_spectrum` diagonalizes that block densely;
 `lowest_in_label` draws its Lanczos states one at a time, each solved once,
 up to k + 40, and lifts each with Q and checks its residual on the full H
@@ -55,6 +58,7 @@ from .symmetry import (
     format_label,
     projector,
     raising_operator,
+    spin_flip_operator,
     spin_squared,
 )
 
@@ -143,12 +147,15 @@ class DegenerateManifold:
 
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     """Flip, in place, each column's sign so its largest-magnitude entry is
-    positive; every caller passes an array it owns."""
-    for j in range(vectors.shape[1]):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
+    positive; every caller passes an array it owns.  The column extremes
+    stand in for a full-size abs; where they tie in magnitude the first
+    counts, as with argmax(abs), and only those columns take argmax and
+    argmin (which copy a C-ordered block along axis 0)."""
+    high, low = vectors.max(axis=0), vectors.min(axis=0)
+    flip = -low > high
+    for j in np.flatnonzero(-low == high):
+        flip[j] = vectors[:, j].argmin() < vectors[:, j].argmax()
+    return np.negative(vectors, out=vectors, where=flip)
 
 
 def _as_matrix(operator):
@@ -164,16 +171,22 @@ def _as_matrix(operator):
 
 
 def _symmetry_subspace(
-    operator: SparseOperator, c2_parity: int | None, eh_parity: int | None, name: str
+    operator: SparseOperator, c2_parity: int | None, eh_parity: int | None, spin: float | None, name: str
 ) -> tuple[Projector, sp.csr_matrix]:
-    """The (C2, eh) projector of the operator's sector and its orthonormal
-    orbit basis Q; an empty subspace is an error."""
-    proj = projector(operator.basis, operator.geometry, c2_parity, eh_parity)
+    """The (C2, eh) projector of the operator's sector, with spin inversion of
+    parity (-1)^S as a third generator where an integer `spin` S is asked of a
+    2M_S = 0 sector, and its orthonormal orbit basis Q; an empty subspace is
+    an error."""
+    basis = operator.basis
+    proj = projector(basis, operator.geometry, c2_parity, eh_parity)
+    flip = ""
+    if spin is not None and basis.sector.twice_ms == 0 and float(spin).is_integer():
+        parity = -1 if round(spin) % 2 else 1
+        proj = Projector(proj.generators + ((spin_flip_operator(basis), parity),), basis.dim)
+        flip = f" at spin-flip parity {parity:+d}"
     q = proj.orbit_basis()
     if q.shape[1] == 0:
-        raise SolverError(
-            f"the {name} symmetry subspace of sector {operator.basis.sector} is empty"
-        )
+        raise SolverError(f"the {name} symmetry subspace of sector {basis.sector} is empty{flip}")
     return proj, q
 
 
@@ -207,11 +220,12 @@ def dense_subspace_spectrum(
 
     Q^T H Q is diagonalized densely, the vectors are lifted back to sector
     coordinates, degenerate manifolds are rotated to sharp S^2, and with
-    `spin` given only the states of that total spin are kept.  Either
+    `spin` given only the states of that total spin are kept; at 2M_S = 0
+    the block is then also the spin-flip block of parity (-1)^S.  Either
     parity may be None to skip that symmetry.
     """
     name = f"(C2 {c2_parity}, eh {eh_parity})"
-    _, q = _symmetry_subspace(operator, c2_parity, eh_parity, name)
+    _, q = _symmetry_subspace(operator, c2_parity, eh_parity, spin, name)
     m = q.shape[1]
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
@@ -467,13 +481,13 @@ def lowest_in_label(
     """Lowest k eigenstates carrying a (C2, eh, S) label.
 
     The Lanczos solve runs on Q^T H Q, with Q the orthonormal orbit basis
-    of the requested (C2, eh) subspace, and the vectors are lifted back to
-    sector coordinates; the sector must be the label's highest-weight
-    sector (2M_S = 2S).  The block's states are drawn one at a time, each
-    solved once, up to k + 40, until k of them carry the label's total
-    spin.  Each drawn state is lifted and its residual checked on the full
-    H once; `matvecs` counts the block products and one check per drawn
-    state.
+    of the requested (C2, eh) subspace, spin-flip even too for a singlet
+    label, and the vectors are lifted back to sector coordinates; the
+    sector must be the label's highest-weight sector (2M_S = 2S).  The
+    block's states are drawn one at a time, each solved once, up to k + 40,
+    until k of them carry the label's total spin.  Each drawn state is
+    lifted and its residual checked on the full H once; `matvecs` counts
+    the block products and one check per drawn state.
     """
     if k < 1:
         raise SolverError(f"k must be at least 1, got {k}")
@@ -483,7 +497,9 @@ def lowest_in_label(
             f"label {format_label(label)} is solved in the 2M_S = {label.twice_ms_highest} sector, "
             f"but the operator was built for 2M_S = {basis.sector.twice_ms}"
         )
-    proj, q = _symmetry_subspace(operator, label.c2_parity, label.eh_parity, format_label(label))
+    proj, q = _symmetry_subspace(
+        operator, label.c2_parity, label.eh_parity, label.total_spin, format_label(label)
+    )
     n = min(q.shape[1], k + 40)
     vecs, vals, res = np.empty((q.shape[0], n), order="F"), np.empty(n), np.empty(n)
     prev = np.empty(0)

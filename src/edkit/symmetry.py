@@ -1,9 +1,11 @@
-"""Two-fold reflection, electron-hole conjugation, and spin diagnostics.
+"""Two-fold reflection, electron-hole conjugation, spin inversion, and spin
+diagnostics.
 
 Every operator here is a `scipy.sparse.csr_matrix` on a sector and is
-applied with `@`.  The two discrete symmetries are signed permutation
+applied with `@`.  The three discrete symmetries are signed permutation
 matrices, with entry sign[i] at (perm[i], i), so projections and
-symmetry-adapted subspace bases stay sparse.
+symmetry-adapted subspace bases stay sparse.  Each is an involution, and
+the three commute.
 
 Conventions (all signs follow the canonical operator ordering of the basis
 module):
@@ -20,13 +22,22 @@ module):
   itself.  It exists on alternant geometries only.  Its phase is one
   constant, fixed to +1 by the covalent reference, so its matrix is a
   plain permutation.
+* Spin inversion exists on 2M_S = 0 sectors only.  It is the pi rotation
+  about the y axis, whose parity on a state of total spin S is (-1)^S, so
+  singlets are even.  On fermions it maps (up, dn) to (dn, up), the
+  transpose of the Kronecker layout; the re-sorting sign (-1)^(N_up N_dn)
+  and the rotation's (-1)^N_dn cancel at N_up = N_dn, so its sector sign
+  is +1.  On n spins s it maps each digit d to 2s - d with the sector sign
+  (-1)^(n s).
 
 One rule, `check_block`, says whether a (C2, eh) block exists: each parity
 is +1, -1 or None (generator skipped), C2 needs the geometry's declared
 permutation, and eh a half-filled fermionic sector on an alternant bond
 graph.  The two operators, `projector` and the run config all ask it, so an
 impossible block is refused before any Hamiltonian is built.  A `Projector`
-is its tuple of (signed permutation, character) generators, C2 before eh.
+is its tuple of (signed permutation, character) generators, C2 before eh;
+the solver appends spin inversion, with character (-1)^S, when it resolves
+a total spin S in a 2M_S = 0 sector.
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
@@ -65,6 +76,7 @@ __all__ = [
     "check_block",
     "c2_operator",
     "eh_operator",
+    "spin_flip_operator",
     "projector",
     "spin_occurs",
     "spin_squared",
@@ -211,6 +223,23 @@ def eh_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
     return _signed_permutation(perm, np.ones(basis.dim))
 
 
+def spin_flip_operator(basis: BasisTable) -> sp.csr_matrix:
+    """Spin inversion on a 2M_S = 0 sector, of parity (-1)^S on a state of
+    total spin S, as a signed permutation matrix (signs in the module
+    docstring).  There the up and down mask lists are the same, so on
+    fermions it transposes the Kronecker layout."""
+    if basis.sector.twice_ms != 0:
+        raise SymmetryError(f"spin inversion needs 2M_S = 0, got 2M_S = {basis.sector.twice_ms}")
+    if basis.kind == "fermion":
+        n = len(basis.up_masks)
+        return _signed_permutation(np.arange(basis.dim).reshape(n, n).T.reshape(-1), np.ones(basis.dim))
+    twice, n = basis.twice_site_spin, basis.n_sites
+    shifts = 2 * np.arange(n, dtype=np.uint64)
+    new = ((twice - basis.digit_matrix()).astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+    sign = (-1.0) ** (n * twice // 2)
+    return _signed_permutation(np.searchsorted(basis.spin_codes, new), np.full(basis.dim, sign))
+
+
 def check_block(geometry: Geometry, sector: Sector, c2_parity: int | None, eh_parity: int | None) -> None:
     """Raise SymmetryError unless the (C2, eh) block exists: a parity is +1,
     -1 or None (generator skipped), C2 needs the geometry's two-fold
@@ -238,7 +267,8 @@ def check_block(geometry: Geometry, sector: Sector, c2_parity: int | None, eh_pa
 
 class Projector:
     """prod_g (1 + chi_g g)/2 onto one symmetry-adapted subspace of a sector,
-    over (signed permutation matrix g, character chi_g) generators, C2 first."""
+    over commuting involutions: (signed permutation matrix g, character
+    chi_g) generators, C2 first, then eh, then spin inversion."""
 
     def __init__(self, generators: tuple[tuple[sp.csr_matrix, int], ...], dim: int) -> None:
         self.generators = generators
@@ -257,29 +287,40 @@ class Projector:
 
         Projected basis vectors supported on disjoint group orbits are
         orthogonal, so normalizing the projection of each orbit's smallest
-        index gives an orthonormal basis with at most four entries per
-        column, ordered by that index.
+        index gives an orthonormal basis, ordered by that index, with one
+        entry in each row of a kept orbit.  Every group element is an
+        involution, so P is symmetric and the entry of state j is
+        sum_g chi_g g[rep, j] / |G| over the elements that map j to its
+        representative rep.  The elements are visited one at a time, each one
+        generator from the last (a Gray-code walk), and a running minimum over
+        them finds rep and sums that entry; nothing of size |G| x dim is held.
         """
         # group element g: e_i -> s_g[i] e_{p_g[i]}, with the parity character
-        # folded into the sign; column i of a signed permutation matrix holds
-        # its one entry, sign[i], in row perm[i]
-        group = [(np.arange(self.dim), np.ones(self.dim))]
-        for op, parity in self.generators:
-            op = op.tocsc()
-            group += [(op.indices[p], s * parity * op.data[p]) for p, s in group]
-        perms = np.array([p for p, _ in group])
-        signs = np.array([s for _, s in group])
-        reps = np.flatnonzero(perms.min(axis=0) == np.arange(self.dim))
-        cols = np.broadcast_to(np.arange(len(reps)), (len(group), len(reps)))
-        q = sp.csc_matrix(
-            (signs[:, reps].ravel() / len(group), (perms[:, reps].ravel(), cols.ravel())),
-            shape=(self.dim, len(reps)),
-        )  # sums the duplicates of stabilized orbit members
-        norm2 = np.asarray(q.multiply(q).sum(axis=0)).ravel()
-        keep = norm2 > tol
-        q = q[:, keep]
-        q.data /= np.repeat(np.sqrt(norm2[keep]), np.diff(q.indptr))
-        return q.tocsr()
+        # folded into the sign.  A generator is a symmetric signed permutation
+        # (an involution), so row i of its CSR holds its one entry, sign[i],
+        # in column perm[i].
+        perm, sign = np.arange(self.dim), np.ones(self.dim)
+        rep, coef = perm.copy(), sign.copy()  # the identity element
+        for step in range(1, 2 ** len(self.generators)):
+            # Gray code: step toggles the generator of its lowest set bit
+            op, parity = self.generators[(step & -step).bit_length() - 1]
+            sign *= op.data[perm]
+            if parity < 0:
+                np.negative(sign, out=sign)
+            perm = op.indices[perm]
+            np.add(coef, sign, out=coef, where=perm == rep)  # sums of +-1: exact in any order
+            np.copyto(coef, sign, where=perm < rep)
+            np.minimum(rep, perm, out=rep)
+        coef /= 2 ** len(self.generators)
+        norm2 = np.bincount(rep, weights=coef * coef, minlength=self.dim)
+        kept = (rep == np.arange(self.dim)) & (norm2 > tol)
+        col = np.cumsum(kept, dtype=np.int32) - 1
+        in_kept = kept[rep]
+        rows_rep = rep[in_kept]
+        indptr = np.zeros(self.dim + 1, dtype=np.int32)
+        np.cumsum(in_kept, out=indptr[1:])
+        data = coef[in_kept] / np.sqrt(norm2[rows_rep])
+        return sp.csr_matrix((data, col[rows_rep], indptr), shape=(self.dim, int(kept.sum())))
 
 
 def projector(

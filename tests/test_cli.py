@@ -350,6 +350,25 @@ label = 1_Ag-
     assert manifest["status"] == "failed"
 
 
+@pytest.mark.parametrize("u", [0.0, 1.0, 4.0])
+def test_missing_labeled_states_exit_3(tmp_path, capsys, u):
+    # the 4-site chain has two 1_Bu+ states; asking for three walks the
+    # whole (C2 -1, eh +1, flip +1) block and exits 3 saying so
+    sections = {
+        "run": {"task": "solve", "output": str(tmp_path / "out")},
+        "geometry": {"kind": "chain", "n_sites": 4},
+        "model": {"kind": "hubbard", "t": -1.0, "U": u},
+        "sector": {"n_electrons": 4, "twice_ms": 0},
+        "target": {"label": "1_Bu+", "k": 3, "tol": 1e-10, "seed": 1},
+    }
+    cfg = _write(tmp_path, "solve.json", json.dumps(sections))
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: found only 2 of 3 states with label 1_Bu+" in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+
+
 def test_partial_marking_on_failure(tmp_path):
     from edkit.cli import RunContext
     from edkit.config import load_config

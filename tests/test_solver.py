@@ -13,6 +13,7 @@ from edkit.solver import (
     EigenSet,
     NonConvergenceError,
     SolverError,
+    _canonical_sign,
     _gershgorin,
     _lowest_states,
     _recur,
@@ -23,7 +24,7 @@ from edkit.solver import (
     lowest_in_label,
     sharpen_spin,
 )
-from edkit.symmetry import parse_label, projector, total_spin
+from edkit.symmetry import parse_label, projector, raising_operator, total_spin
 
 
 def _all_sectors(n):
@@ -340,6 +341,35 @@ def test_dense_subspace_spectrum_matches_projected_scan():
         assert np.linalg.norm(proj.apply(v) - v) < 1e-10
 
 
+def _canonical_sign_loop(vectors):
+    """Per-column reference: negate a column whose first entry of largest
+    magnitude (argmax of abs) is negative."""
+    for j in range(vectors.shape[1]):
+        i = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[i, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return vectors
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_canonical_sign_matches_argmax_loop(order, rng):
+    # exact +-ties in both orders, zero columns (with -0.0), and random columns
+    columns = [
+        [0.5, -0.5, 0.1], [-0.5, 0.5, 0.1], [0.0, -0.3, 0.3], [0.0, 0.3, -0.3],
+        [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.2, 0.1, 0.2], [0.1, -0.7, 0.7],
+    ]
+    block = np.column_stack([np.array(columns).T, rng.standard_normal((3, 6))])
+    block = np.vstack([block, np.zeros((2, block.shape[1]))])
+    got = _canonical_sign(np.array(block, order=order))
+    ref = _canonical_sign_loop(np.array(block, order=order))
+    assert got.tobytes() == ref.tobytes()
+    assert got.flags.c_contiguous == (order == "C")
+    for j in (1, 2, 6, 7):  # the first entry of largest magnitude is negative
+        assert got[:, j].tolist() == [-x for x in block[:, j]]
+    for j in (0, 3, 4):
+        assert got[:, j].tolist() == block[:, j].tolist()
+
+
 def test_sharpen_spin_separates_mixed_manifold():
     # two exactly degenerate states of different S: sharpen recovers pure spins
     g = build_chain(2)
@@ -420,6 +450,65 @@ def test_lanczos_finds_every_copy_of_a_degenerate_level():
     assert np.abs(eig.vectors.T @ eig.vectors - np.eye(6)).max() < 1e-10
 
 
+FLIP_BLOCKS = [
+    pytest.param(build_chain(6, 1.397), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0), 1, 1,
+                 id="hubbard6-Ag+"),
+    pytest.param(build_chain(6, 1.397), ModelSpec(kind="ppp", t=-2.4, U=11.26), Sector(6, 0), -1, -1,
+                 id="ppp6-Bu-"),
+    pytest.param(build_chain(8, 1.397), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0), -1, 1,
+                 id="hubbard8-Bu+"),
+    pytest.param(build_chain(6, 1.397), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0), 1, None,
+                 id="hubbard6-N4-Ag"),
+    pytest.param(build_icosahedron(1.397), ModelSpec(kind="heisenberg"), Sector(None, 0), 1, None,
+                 id="icosahedron-C2+"),
+    pytest.param(build_chain(10), ModelSpec(kind="heisenberg"), Sector(None, 0), -1, None,
+                 id="heisenberg10-C2-"),
+]
+
+
+@pytest.mark.parametrize("g, spec, sector, c2, eh", FLIP_BLOCKS)
+def test_flip_block_equals_filtered_two_generator_block(g, spec, sector, c2, eh):
+    # at 2M_S = 0 a spin-resolved dense block is the spin-flip block of
+    # parity (-1)^S; the two-generator block, diagonalized here with the S^2
+    # eigenvalues of each degenerate manifold (the icosahedron's manifolds
+    # mix spins), holds the same states at each S
+    h = build_model(g, spec, sector)
+    q = projector(h.basis, g, c2, eh).orbit_basis()
+    vals, y = np.linalg.eigh((q.T @ h.matrix @ q).toarray())
+    images = raising_operator(h.basis) @ (q @ y)
+    s2 = np.empty_like(vals)
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[i] <= 1e-9 * max(1.0, abs(vals[i])):
+            j += 1
+        s2[i:j] = np.linalg.eigvalsh(images[:, i:j].T @ images[:, i:j])
+        i = j
+    checked = 0
+    for s in range(7):  # every S of 12 spins 1/2 or 8 electrons
+        want = vals[np.abs(s2 - s * (s + 1)) < 1e-6]
+        try:
+            got = dense_subspace_spectrum(h, c2, eh, spin=float(s)).values
+        except SolverError:
+            got = np.empty(0)
+        assert len(got) == len(want), s
+        assert np.abs(got - want).max(initial=0.0) < 1e-12
+        checked += len(got)
+    assert checked == len(vals)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0, 4.0])
+def test_four_site_1bu_plus_k3_finds_only_two(u):
+    # the 4-site (C2 -1, eh +1, flip +1) block holds two states, both
+    # singlets: a third 1_Bu+ does not exist, and the solve says so after
+    # walking the whole block, each state within tol
+    h = build_model(build_chain(4, 1.397), ModelSpec(kind="hubbard", t=-1.0, U=u), Sector(4, 0))
+    assert len(dense_subspace_spectrum(h, -1, 1, spin=0.0).values) == 2
+    with pytest.raises(SolverError, match="found only 2 of 3 states with label 1_Bu[+]") as err:
+        lowest_in_label(h, parse_label("1_Bu+"), k=3, tol=1e-10)
+    assert not isinstance(err.value, NonConvergenceError)
+
+
 def _two_pass_calls(monkeypatch) -> list:
     """One entry per two-pass Lanczos solve, that is per state solved."""
     import edkit.solver
@@ -446,17 +535,21 @@ def test_lowest_in_label_k1_is_one_two_pass_solve(monkeypatch):
 
 
 def test_lowest_in_label_solves_each_block_state_once(monkeypatch):
-    # the lowest states of the 8-site (C2 -1, eh +1) block are not singlets,
-    # so the solve walks the block's states up to the first singlet, solving
-    # each of them once
+    # the 1_Bu+ solve walks the 8-site (C2 -1, eh +1) block at spin-flip
+    # parity +1, which holds the even total spins; its second state is a
+    # quintet, so k = 2 walks the block up to its second singlet, solving
+    # each state on the way once
     h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
     block = dense_subspace_spectrum(h, -1, 1)
-    drawn = 1 + next(i for i in range(block.k) if total_spin(block.vectors[:, i], h.basis) == 0.0)
+    spins = [total_spin(block.vectors[:, i], h.basis) for i in range(block.k)]
+    even = [s for s in spins if s % 2 == 0]
+    drawn = 1 + [i for i, s in enumerate(even) if s == 0.0][1]
     calls = _two_pass_calls(monkeypatch)
-    eig = lowest_in_label(h, parse_label("1_Bu+"), k=1, tol=1e-10)
-    assert drawn > 1 and len(calls) == drawn
-    assert abs(eig.values[0] - dense_subspace_spectrum(h, -1, 1, spin=0.0).values[0]) < 1e-9
-    assert total_spin(eig.vectors[:, 0], h.basis) == 0.0
+    eig = lowest_in_label(h, parse_label("1_Bu+"), k=2, tol=1e-10)
+    assert drawn > 2 and len(calls) == drawn
+    dense = dense_subspace_spectrum(h, -1, 1, spin=0.0)
+    assert np.abs(eig.values - dense.values[:2]).max() < 1e-9
+    assert all(total_spin(eig.vectors[:, i], h.basis) == 0.0 for i in range(2))
 
 
 def test_lowest_states_item_j_is_the_j_state_solve():
@@ -474,9 +567,10 @@ def test_lowest_states_item_j_is_the_j_state_solve():
 
 
 def test_lowest_in_label_checks_each_drawn_state_once(monkeypatch):
-    # the 6-site 1_Bu+ at k = 2 draws 12 block states; each is lifted and its
-    # residual checked on the full H once, where re-checking every found
-    # state after each new one made 1 + 2 + ... + 12 = 78 check columns
+    # the 6-site 1_Bu+ at k = 2 draws 4 block states (singlet, quintet,
+    # quintet, singlet); each is lifted and its residual checked on the full
+    # H once, where re-checking every found state after each new one made
+    # 1 + 2 + 3 + 4 = 10 check columns
     import edkit.solver
 
     h = build_model(build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
@@ -490,8 +584,8 @@ def test_lowest_in_label_checks_each_drawn_state_once(monkeypatch):
 
     monkeypatch.setattr(edkit.solver, "_rayleigh", spy)
     eig = lowest_in_label(h, parse_label("1_Bu+"), k=2, tol=1e-10)
-    assert eig.k == 2 and len(solves) == 12
-    assert checked == [1] * 12
+    assert eig.k == 2 and len(solves) == 4
+    assert checked == [1] * 4
 
 
 HUBBARD = ModelSpec(kind="hubbard", t=-1.0, U=4.0)
@@ -522,12 +616,11 @@ def test_labeled_solve_is_the_head_of_its_dense_block(n, spec, text, k):
     assert np.all(eig.residuals <= 1e-10)
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
-                   reason="deflation stall: the block's 11th state stops at a residual of 1.016e-10")
-def test_eight_site_1bu_plus_k3_seed1_converges():
-    # seeds 2 and 5 converge to these energies; seeds 1 and 3 stall on the
-    # block's 11th state (E = -2.04496) and seed 4 on its 15th, just above
-    # tol, where a restart from the Ritz vector returns the same residual
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_eight_site_1bu_plus_k3_converges(seed):
+    # the third 1_Bu+ is the block's sixth flip-even state, and the deflated
+    # walk to it reaches tol from every seed
     h = build_model(build_chain(8), HUBBARD, Sector(8, 0))
-    eig = lowest_in_label(h, parse_label("1_Bu+"), k=3, tol=1e-10, seed=1)
+    eig = lowest_in_label(h, parse_label("1_Bu+"), k=3, tol=1e-10, seed=seed)
     assert np.abs(eig.values - [-3.09268827, -2.46350634, -1.83284784]).max() < 1e-8
+    assert np.all(eig.residuals <= 1e-10)

@@ -7,7 +7,7 @@ from conftest import brute_permute_sites, masks_of, orbitals_of, sort_parity
 from edkit.basis import FermionState, Sector, SpinState, enumerate_sector
 from edkit.hamiltonian import ModelSpec, build_model
 from edkit.lattice import build_chain, build_icosahedron
-from edkit.solver import dense_spectrum
+from edkit.solver import dense_spectrum, sharpen_spin
 from edkit.symmetry import (
     MixedSpinError,
     SymmetryError,
@@ -17,8 +17,10 @@ from edkit.symmetry import (
     eh_operator,
     format_label,
     parse_label,
+    Projector,
     projector,
     raising_operator,
+    spin_flip_operator,
     spin_squared,
     total_spin,
 )
@@ -231,22 +233,36 @@ def _orbit_basis_loop(proj, tol=1e-12):
     return sp.csr_matrix((vals, (rows, cols)), shape=(proj.dim, len(columns)))
 
 
+def _with_flip(proj, basis, parity):
+    """The projector with spin inversion of `parity` appended as a generator."""
+    return Projector(proj.generators + ((spin_flip_operator(basis), parity),), proj.dim)
+
+
 def test_orbit_basis_reconstructs_projector(rng):
     chain4, chain6, ico = build_chain(4), build_chain(6), build_icosahedron()
     cases = [
         # half-filled fermion sector with both C2 and eh
-        (chain4, "hubbard", Sector(4, 0), 1, -1),
-        (chain6, "hubbard", Sector(6, 0), 1, 1),
+        (chain4, "hubbard", Sector(4, 0), 1, -1, None),
+        (chain6, "hubbard", Sector(6, 0), 1, 1, None),
         # polarized 2M_S = 2 sector
-        (chain6, "hubbard", Sector(6, 2), -1, 1),
+        (chain6, "hubbard", Sector(6, 2), -1, 1, None),
         # spin sector, C2 only
-        (ico, "heisenberg", Sector(None, 0), 1, None),
+        (ico, "heisenberg", Sector(None, 0), 1, None, None),
         # eh only
-        (chain6, "hubbard", Sector(6, 0), None, 1),
+        (chain6, "hubbard", Sector(6, 0), None, 1, None),
+        # three generators: C2, eh and spin inversion, each flip parity
+        (chain4, "hubbard", Sector(4, 0), -1, 1, 1),
+        (chain6, "hubbard", Sector(6, 0), 1, 1, 1),
+        (chain6, "hubbard", Sector(6, 0), -1, -1, -1),
+        (chain6, "hubbard", Sector(4, 0), 1, None, -1),
+        (ico, "heisenberg", Sector(None, 0), -1, None, 1),
+        (chain6, "heisenberg", Sector(None, 0), None, None, -1),
     ]
-    for g, kind, sector, c2, eh in cases:
+    for g, kind, sector, c2, eh, flip in cases:
         b = enumerate_sector(g, kind, sector)
         proj = projector(b, g, c2, eh)
+        if flip is not None:
+            proj = _with_flip(proj, b, flip)
         q = proj.orbit_basis()
         assert 0 < q.shape[1] < b.dim
         qtq = (q.T @ q).toarray()
@@ -261,6 +277,79 @@ def test_orbit_basis_reconstructs_projector(rng):
         ref = _orbit_basis_loop(proj)
         assert ref.shape == q.shape and (ref != q).nnz == 0
         assert np.array_equal(ref.indptr, q.indptr) and np.array_equal(ref.indices, q.indices)
+
+
+def test_orbit_basis_holds_no_group_by_dim_stack():
+    # the 10-site (C2+, eh+, flip+) block: eight group elements, visited one
+    # at a time; a (|G|, dim) stack of permutations and signs alone would
+    # take 128 bytes per state
+    import tracemalloc
+
+    g = build_chain(10)
+    b = enumerate_sector(g, "hubbard", Sector(10, 0))
+    proj = _with_flip(projector(b, g, 1, 1), b, 1)
+    tracemalloc.start()
+    try:
+        q = proj.orbit_basis()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (b.dim, 8192)
+    assert peak <= 128 * b.dim
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_spin_flip_commutes_with_models(n):
+    # exactly, on every 2M_S = 0 sector: F H F = H entry for entry, except
+    # that the PPP diagonal sums its Coulomb terms channel by channel, so
+    # (up, dn) and (dn, up) may differ by the rounding of those n^2 terms
+    g = build_chain(n, 1.397)
+    fermions = [ModelSpec(kind="huckel", t=-1.0), ModelSpec(kind="hubbard", t=-1.0, U=4.0),
+                ModelSpec(kind="ppp", t=-2.4, U=11.26)]
+    cases = [(spec, Sector(ne, 0)) for spec in fermions for ne in range(0, 2 * n + 1, 2)] + [
+        (ModelSpec(kind="heisenberg", site_spin=s), Sector(None, 0))
+        for s in (0.5, 1.0) if n * round(2 * s) % 2 == 0
+    ]
+    for spec, sector in cases:
+        h = build_model(g, spec, sector)
+        flip = spin_flip_operator(h.basis)
+        assert abs(abs(flip) - abs(flip.T)).max() == 0 and (flip @ flip != sp.identity(h.basis.dim)).nnz == 0
+        diff = flip @ h.matrix @ flip - h.matrix
+        diagonal = abs(diff.diagonal())
+        bound = n * n * np.finfo(float).eps * abs(h.matrix).max() if spec.kind == "ppp" else 0.0
+        assert np.all(diagonal <= bound), (spec.kind, sector)
+        assert (diff - sp.diags(diff.diagonal())).count_nonzero() == 0, (spec.kind, sector)
+
+
+@pytest.mark.parametrize(
+    "n, spec, sector",
+    [
+        (4, ModelSpec(kind="heisenberg"), Sector(None, 0)),
+        (6, ModelSpec(kind="heisenberg"), Sector(None, 0)),
+        (10, ModelSpec(kind="heisenberg"), Sector(None, 0)),
+        (4, ModelSpec(kind="heisenberg", site_spin=1.0), Sector(None, 0)),
+        (5, ModelSpec(kind="heisenberg", site_spin=1.0), Sector(None, 0)),
+        (6, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0)),
+        (6, ModelSpec(kind="ppp", t=-2.4, U=11.26), Sector(6, 0)),
+        (5, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(4, 0)),
+    ],
+    ids=["heis4", "heis6", "heis10", "spin1-4", "spin1-5", "hubbard6", "ppp6", "hubbard5-N4"],
+)
+def test_spin_flip_parity_is_minus_one_to_the_s(n, spec, sector):
+    # the sector sign makes singlets even: every sharpened eigenstate has
+    # flip parity (-1)^S (spin chains with n s odd take the sign -1)
+    h = build_model(build_chain(n, 1.397), spec, sector)
+    eig = sharpen_spin(dense_spectrum(h), h.basis)
+    flip = spin_flip_operator(h.basis)
+    parity = np.einsum("ij,ij->j", eig.vectors, flip @ eig.vectors)
+    spins = [total_spin(eig.vectors[:, i], h.basis) for i in range(eig.k)]
+    assert np.abs(parity - [(-1.0) ** round(s) for s in spins]).max() < 1e-9
+
+
+def test_spin_flip_needs_zero_magnetization():
+    b = enumerate_sector(build_chain(4), "hubbard", Sector(4, 2))
+    with pytest.raises(SymmetryError, match="2M_S = 0"):
+        spin_flip_operator(b)
 
 
 def test_total_spin_polarized_and_singlet():
