@@ -341,20 +341,13 @@ def multiplet_counts(n_sites: int, model_kind: str, site_spin: float = 0.5) -> d
     """
     if n_sites < 0:
         raise ValueError(f"n_sites must be non-negative, got {n_sites}")
-    if is_fermionic_kind(model_kind):
-        max_twice = n_sites
-        def dim(tm: int) -> int:
-            if (n_sites - tm) % 2 != 0 or tm > n_sites:
-                return 0
-            sec = Sector(n_electrons=n_sites, twice_ms=tm)
-            return sector_dimension(n_sites, model_kind, sec)
-    else:
-        twice = _twice_site_spin(model_kind, site_spin)
-        max_twice = n_sites * twice
-        def dim(tm: int) -> int:
-            if tm > max_twice:
-                return 0
-            return sector_dimension(n_sites, model_kind, Sector(None, tm), site_spin)
+    fermionic = is_fermionic_kind(model_kind)
+    max_twice = n_sites if fermionic else n_sites * _twice_site_spin(model_kind, site_spin)
+
+    def dim(tm: int) -> int:
+        if tm > max_twice:
+            return 0
+        return sector_dimension(n_sites, model_kind, Sector(n_sites if fermionic else None, tm), site_spin)
 
     lowest = max_twice % 2
     out: dict[int, int] = {}

@@ -175,17 +175,22 @@ class _Keys:
         lengths = n = blocks = None
         if mode == "length":
             lengths = self.integers("sweep", "lengths", required=True)
-            if any(size % 2 or size < 4 for size in lengths):
-                raise ConfigError("[sweep] lengths must be even integers >= 4")
-            check_site_limit(max(lengths, default=0), model.kind)
+            if not lengths or any(size % 2 or size < 4 for size in lengths):
+                raise ConfigError(f"[sweep] lengths must be one or more even integers >= 4, got {lengths}")
+            check_site_limit(max(lengths), model.kind)
         else:
             n = self.integer("sweep", "n_sites", required=True)
+            if n < 2:
+                raise ConfigError(f"[sweep] n_sites must be at least 2, got {n}")
             check_site_limit(n, model.kind)
             blocks = self.integers("sweep", "blocks") or None
             outside = [b for b in blocks or () if not 1 <= b < n]
             if outside:
                 raise ConfigError(f"[sweep] blocks must be in 1..{n - 1}, got {outside[0]}")
-        return mode, lengths, n, blocks, self.number("geometry", "bond_length", 1.397)
+        bond = self.number("geometry", "bond_length", 1.397)
+        if bond <= 0:
+            raise ConfigError(f"[geometry] bond_length must be positive, got {bond}")
+        return mode, lengths, n, blocks, bond
 
 
 def _sections_from_ini(path: Path, text: str) -> dict[str, dict[str, str]]:

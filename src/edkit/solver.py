@@ -18,15 +18,15 @@ a seeded generator in state order, which makes solves reproducible and a
 k-state solve the prefix of a larger one; every solve returns its count of
 H products.
 
-Symmetry blocks have one path.  `_symmetry_subspace` builds the (C2, eh)
-projector of the operator's sector and its sparse orthonormal orbit basis Q
-(about a quarter of the sector), and `_restrict` forms Q^T H Q.  Where a
-total spin S is asked of a 2M_S = 0 sector (a `spin` of the dense block, or
-a singlet label), spin inversion of parity (-1)^S is a third generator: the
-block then holds only every other S and is about an eighth of the sector.
+Symmetry blocks have one path.  `_symmetry_subspace` takes the block from
+`symmetry.projector` and builds its sparse orthonormal orbit basis Q, and
+`_restrict` forms Q^T H Q.  A (C2, eh) block is about a quarter of the
+sector; where a total spin S is asked of a 2M_S = 0 sector (a `spin` of the
+dense block, or a singlet label), `projector` adds spin inversion of parity
+(-1)^S, and the block holds every other S, about an eighth of the sector.
 `dense_subspace_spectrum` diagonalizes that block densely;
-`lowest_in_label` draws its Lanczos states one at a time, each solved once,
-up to k + 40, and lifts each with Q and checks its residual on the full H
+`lowest_in_label` takes each Lanczos state as the stream draws it, solved
+once, up to k + 40, lifts it with Q and checks its residual on the full H
 once, so its `matvecs` are the block products plus one check per drawn
 state.  Both end in one step, `_sharp_states`: `sharpen_spin` rotates each
 degenerate manifold to sharp S^2 from the Gram matrix of its images under
@@ -58,7 +58,6 @@ from .symmetry import (
     format_label,
     projector,
     raising_operator,
-    spin_flip_operator,
     spin_squared,
 )
 
@@ -173,20 +172,14 @@ def _as_matrix(operator):
 def _symmetry_subspace(
     operator: SparseOperator, c2_parity: int | None, eh_parity: int | None, spin: float | None, name: str
 ) -> tuple[Projector, sp.csr_matrix]:
-    """The (C2, eh) projector of the operator's sector, with spin inversion of
-    parity (-1)^S as a third generator where an integer `spin` S is asked of a
-    2M_S = 0 sector, and its orthonormal orbit basis Q; an empty subspace is
+    """The `symmetry.projector` block of the operator's sector for these
+    parities and `spin`, and its orthonormal orbit basis Q; an empty block is
     an error."""
-    basis = operator.basis
-    proj = projector(basis, operator.geometry, c2_parity, eh_parity)
-    flip = ""
-    if spin is not None and basis.sector.twice_ms == 0 and float(spin).is_integer():
-        parity = -1 if round(spin) % 2 else 1
-        proj = Projector(proj.generators + ((spin_flip_operator(basis), parity),), basis.dim)
-        flip = f" at spin-flip parity {parity:+d}"
+    proj = projector(operator.basis, operator.geometry, c2_parity, eh_parity, spin)
     q = proj.orbit_basis()
     if q.shape[1] == 0:
-        raise SolverError(f"the {name} symmetry subspace of sector {basis.sector} is empty{flip}")
+        at = "" if spin is None else f" for total spin {spin:g}"
+        raise SolverError(f"the {name} symmetry subspace of sector {operator.basis.sector} is empty{at}")
     return proj, q
 
 
@@ -262,12 +255,14 @@ def lanczos_lowest(
         raise SolverError(f"requested {k} eigenpairs from a dimension-{dim} sector")
     if k >= dim - 1:  # all states, or all but one: cheaper densely
         return _checked_eigenset(mat, dense_spectrum(mat).vectors[:, :k], tol)
-    return list(_lowest_states(operator, k, tol, seed, max_matvecs))[-1]
+    *_, (vals, vecs, res, matvecs) = _lowest_states(operator, k, tol, seed, max_matvecs)
+    return EigenSet(vals, vecs, res, matvecs=matvecs)
 
 
-def _lowest_states(operator, n: int, tol: float, seed: int, max_matvecs: int) -> Iterator[EigenSet]:
-    """The lowest 1, 2, ..., n eigenpairs of `lanczos_lowest`, one state more per
-    item; each state is solved once, into a (dim, n) buffer that the items view."""
+def _lowest_states(operator, n: int, tol: float, seed: int, max_matvecs: int) -> Iterator[tuple]:
+    """The states of `lanczos_lowest` in the order drawn, each solved once into
+    a (dim, n) buffer: item i is (values, vectors, residuals) of its first
+    i + 1 states, unsorted views, and the products made so far."""
     mat = _as_matrix(operator)
     rng = np.random.default_rng(seed)
     apply = operator if isinstance(operator, SparseOperator) else mat
@@ -288,7 +283,7 @@ def _lowest_states(operator, n: int, tol: float, seed: int, max_matvecs: int) ->
         eig = _two_pass(product, mat, rng.standard_normal(len(vecs)), tol, max_matvecs - matvecs)
         vecs[:, i], vals[i], res[i] = eig.vectors[:, 0], eig.values[0], eig.residuals[0]
         matvecs += eig.matvecs
-        yield EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1], matvecs=matvecs)
+        yield vals[:i + 1], vecs[:, :i + 1], res[:i + 1], matvecs
 
 
 def _gershgorin(mat) -> float:
@@ -481,13 +476,13 @@ def lowest_in_label(
     """Lowest k eigenstates carrying a (C2, eh, S) label.
 
     The Lanczos solve runs on Q^T H Q, with Q the orthonormal orbit basis
-    of the requested (C2, eh) subspace, spin-flip even too for a singlet
-    label, and the vectors are lifted back to sector coordinates; the
+    of the label's `symmetry.projector` block (spin-flip even too for a
+    singlet), and the vectors are lifted back to sector coordinates; the
     sector must be the label's highest-weight sector (2M_S = 2S).  The
-    block's states are drawn one at a time, each solved once, up to k + 40,
-    until k of them carry the label's total spin.  Each drawn state is
-    lifted and its residual checked on the full H once; `matvecs` counts
-    the block products and one check per drawn state.
+    block's states are taken in the order the stream draws them, each solved
+    once, up to k + 40, until k of them carry the label's total spin.  Each
+    drawn state is lifted and its residual checked on the full H once;
+    `matvecs` counts the block products and one check per drawn state.
     """
     if k < 1:
         raise SolverError(f"k must be at least 1, got {k}")
@@ -502,13 +497,10 @@ def lowest_in_label(
     )
     n = min(q.shape[1], k + 40)
     vecs, vals, res = np.empty((q.shape[0], n), order="F"), np.empty(n), np.empty(n)
-    prev = np.empty(0)
-    for i, sub in enumerate(_lowest_states(_restrict(operator, q), n, tol, seed, MAX_MATVECS_DEFAULT)):
-        # the new state's column, after the found values it ties: the first to differ from the previous item
-        j = int(np.argmax(np.append(sub.values[:-1] != prev, True)))
-        new = _checked_eigenset(operator.matrix, _canonical_sign(q @ sub.vectors[:, j:j + 1]), tol)
+    stream = _lowest_states(_restrict(operator, q), n, tol, seed, MAX_MATVECS_DEFAULT)
+    for i, (_, drawn, _, matvecs) in enumerate(stream):  # column i is the state drawn last
+        new = _checked_eigenset(operator.matrix, _canonical_sign(q @ drawn[:, i:i + 1]), tol)
         vecs[:, i], vals[i], res[i] = new.vectors[:, 0], new.values[0], new.residuals[0]
-        prev = sub.values
         eig = _sharp_states(EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1]), basis, label.total_spin, k)
         if eig.k == k:
             break
@@ -520,4 +512,4 @@ def lowest_in_label(
     drift = float(np.max(np.linalg.norm(proj.apply(eig.vectors) - eig.vectors, axis=0), initial=0.0))
     if drift > 1e-8:
         raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
-    return EigenSet(eig.values, eig.vectors, eig.residuals, [format_label(label)] * k, sub.matvecs + i + 1)
+    return EigenSet(eig.values, eig.vectors, eig.residuals, [format_label(label)] * k, matvecs + i + 1)

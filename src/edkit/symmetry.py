@@ -35,9 +35,9 @@ is +1, -1 or None (generator skipped), C2 needs the geometry's declared
 permutation, and eh a half-filled fermionic sector on an alternant bond
 graph.  The two operators, `projector` and the run config all ask it, so an
 impossible block is refused before any Hamiltonian is built.  A `Projector`
-is its tuple of (signed permutation, character) generators, C2 before eh;
-the solver appends spin inversion, with character (-1)^S, when it resolves
-a total spin S in a 2M_S = 0 sector.
+is its tuple of (signed permutation, character) generators, which only
+`projector` chooses: C2, eh, then spin inversion of character (-1)^S where
+an integer total spin S is asked of a 2M_S = 0 sector.
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
@@ -328,12 +328,17 @@ def projector(
     geometry: Geometry,
     c2_parity: int | None,
     eh_parity: int | None,
+    spin: float | None = None,
 ) -> Projector:
     """Build the projector onto the requested (C2, eh) parities; either may
-    be None to skip that symmetry (see `check_block`)."""
+    be None to skip that symmetry (see `check_block`).  Only an integer
+    `spin` S on a 2M_S = 0 sector adds spin inversion, of character (-1)^S."""
     check_block(geometry, basis.sector, c2_parity, eh_parity)
     ops = ((c2_operator, c2_parity), (eh_operator, eh_parity))
-    return Projector(tuple((op(basis, geometry), chi) for op, chi in ops if chi is not None), basis.dim)
+    gens = tuple((op(basis, geometry), chi) for op, chi in ops if chi is not None)
+    if spin is not None and basis.sector.twice_ms == 0 and float(spin).is_integer():
+        gens += ((spin_flip_operator(basis), (-1) ** round(spin)),)
+    return Projector(gens, basis.dim)
 
 
 # --- total spin ---------------------------------------------------------------

@@ -350,6 +350,20 @@ label = 1_Ag-
     assert manifest["status"] == "failed"
 
 
+def test_empty_flip_block_exit_3(tmp_path, capsys):
+    # spin 1 picks the spin-flip odd half of the two-site (C2 +1, eh +1)
+    # block, which holds only singlets
+    text = BLOCK_CFG.format(task="profile", out=tmp_path / "out", geometry="kind = chain\nn_sites = 2",
+                            model="hubbard", n_electrons=2, block="[subspace]\nc2 = 1\neh = 1\nspin = 1")
+    cfg = _write(tmp_path, "flip.cfg", text.replace("left_size = 2", "left_size = 1"))
+    assert main(["run", str(cfg)]) == 3
+    message = ("the (C2 1, eh 1) symmetry subspace of sector Sector(n_electrons=2, twice_ms=0) "
+               "is empty for total spin 1")
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == message
+
+
 @pytest.mark.parametrize("u", [0.0, 1.0, 4.0])
 def test_missing_labeled_states_exit_3(tmp_path, capsys, u):
     # the 4-site chain has two 1_Bu+ states; asking for three walks the
@@ -909,22 +923,31 @@ def test_unusable_run_paths_exit_2(tmp_path, capsys, case, message):
 
 
 @pytest.mark.parametrize(
-    "blocks, message",
-    [("1 x", "[sweep] blocks must be integers, got '1 x'"),
-     ("0 9", "[sweep] blocks must be in 1..5, got 0")],
-    ids=["not-integers", "out-of-range"],
+    "keys, message",
+    [("[sweep]\nmode = block\nn_sites = 6\nblocks = 1 x", "[sweep] blocks must be integers, got '1 x'"),
+     ("[sweep]\nmode = block\nn_sites = 6\nblocks = 0 9", "[sweep] blocks must be in 1..5, got 0"),
+     ("[sweep]\nmode = block\nn_sites = 1", "[sweep] n_sites must be at least 2, got 1"),
+     ("[geometry]\nbond_length = 0\n[sweep]\nmode = block\nn_sites = 6",
+      "[geometry] bond_length must be positive, got 0.0"),
+     ("[geometry]\nbond_length = -1\n[sweep]\nmode = length\nlengths = 4 6",
+      "[geometry] bond_length must be positive, got -1.0"),
+     ("[sweep]\nmode = length\nlengths =",
+      "[sweep] lengths must be one or more even integers >= 4, got []")],
+    ids=["not-integers", "out-of-range", "one-site", "zero-bond-length", "negative-bond-length",
+         "empty-lengths"],
 )
-def test_sweep_blocks_checked_at_load(tmp_path, capsys, monkeypatch, blocks, message):
+def test_sweep_blocks_checked_at_load(tmp_path, capsys, monkeypatch, keys, message):
     import edkit.cli as cli
 
     def never(*args, **kwargs):
         raise AssertionError("the sweep ran before the config was checked")
 
     monkeypatch.setattr(cli, "sweep_block_size", never)
-    text = (f"[run]\ntask = sweep\noutput = {tmp_path / 'out'}\n[model]\nkind = heisenberg\n"
-            f"[sweep]\nmode = block\nn_sites = 6\nblocks = {blocks}\n")
+    monkeypatch.setattr(cli, "sweep_ground_state", never)
+    text = f"[run]\ntask = sweep\noutput = {tmp_path / 'out'}\n[model]\nkind = heisenberg\n{keys}\n"
     assert main(["run", str(_write(tmp_path, "sweep.cfg", text))]) == 2
-    assert message in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # load stopped it: no manifest
 
 
 @pytest.mark.parametrize(

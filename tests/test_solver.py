@@ -294,6 +294,18 @@ def test_lowest_in_label_empty_subspace():
         lowest_in_label(h, parse_label("1_Ag-"), k=1)
 
 
+def test_empty_flip_block_names_its_spin():
+    # the two-site (C2 +1, eh +1) block holds only singlets, so its spin-flip
+    # odd half, asked for by spin 1, is empty
+    g = build_chain(2)
+    h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(2, 0))
+    message = ("the (C2 1, eh 1) symmetry subspace of sector Sector(n_electrons=2, twice_ms=0) "
+               "is empty for total spin 1")
+    with pytest.raises(SolverError) as err:
+        dense_subspace_spectrum(h, 1, 1, spin=1.0)
+    assert str(err.value) == message
+
+
 def test_lowest_in_label_tiny_subspace():
     # the A_g+ subspace of the two-site half-filled sector holds exactly two
     # singlets; the walk through its states must cope with running out of
@@ -553,10 +565,11 @@ def test_lowest_in_label_solves_each_block_state_once(monkeypatch):
 
 
 def test_lowest_states_item_j_is_the_j_state_solve():
-    # a k-state solve is the prefix of a larger one: item j of the stream is
-    # lanczos_lowest(k=j), bit for bit
+    # a k-state solve is the prefix of a larger one: item j of the stream,
+    # sorted from the order drawn, is lanczos_lowest(k=j), bit for bit
     h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
-    items = list(_lowest_states(h, 4, 1e-10, 1, MAX_MATVECS_DEFAULT))
+    stream = _lowest_states(h, 4, 1e-10, 1, MAX_MATVECS_DEFAULT)
+    items = [EigenSet(vals, vecs, res, matvecs=matvecs) for vals, vecs, res, matvecs in stream]
     assert [item.k for item in items] == [1, 2, 3, 4]
     for j, item in enumerate(items, start=1):
         ref = lanczos_lowest(h, k=j, tol=1e-10, seed=1)

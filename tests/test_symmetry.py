@@ -17,7 +17,6 @@ from edkit.symmetry import (
     eh_operator,
     format_label,
     parse_label,
-    Projector,
     projector,
     raising_operator,
     spin_flip_operator,
@@ -233,11 +232,6 @@ def _orbit_basis_loop(proj, tol=1e-12):
     return sp.csr_matrix((vals, (rows, cols)), shape=(proj.dim, len(columns)))
 
 
-def _with_flip(proj, basis, parity):
-    """The projector with spin inversion of `parity` appended as a generator."""
-    return Projector(proj.generators + ((spin_flip_operator(basis), parity),), proj.dim)
-
-
 def test_orbit_basis_reconstructs_projector(rng):
     chain4, chain6, ico = build_chain(4), build_chain(6), build_icosahedron()
     cases = [
@@ -250,19 +244,18 @@ def test_orbit_basis_reconstructs_projector(rng):
         (ico, "heisenberg", Sector(None, 0), 1, None, None),
         # eh only
         (chain6, "hubbard", Sector(6, 0), None, 1, None),
-        # three generators: C2, eh and spin inversion, each flip parity
-        (chain4, "hubbard", Sector(4, 0), -1, 1, 1),
-        (chain6, "hubbard", Sector(6, 0), 1, 1, 1),
-        (chain6, "hubbard", Sector(6, 0), -1, -1, -1),
-        (chain6, "hubbard", Sector(4, 0), 1, None, -1),
-        (ico, "heisenberg", Sector(None, 0), -1, None, 1),
-        (chain6, "heisenberg", Sector(None, 0), None, None, -1),
+        # three generators: C2, eh and spin inversion, flip parity +1 at
+        # spin 0 and -1 at spin 1
+        (chain4, "hubbard", Sector(4, 0), -1, 1, 0),
+        (chain6, "hubbard", Sector(6, 0), 1, 1, 0),
+        (chain6, "hubbard", Sector(6, 0), -1, -1, 1),
+        (chain6, "hubbard", Sector(4, 0), 1, None, 1),
+        (ico, "heisenberg", Sector(None, 0), -1, None, 0),
+        (chain6, "heisenberg", Sector(None, 0), None, None, 1),
     ]
-    for g, kind, sector, c2, eh, flip in cases:
+    for g, kind, sector, c2, eh, spin in cases:
         b = enumerate_sector(g, kind, sector)
-        proj = projector(b, g, c2, eh)
-        if flip is not None:
-            proj = _with_flip(proj, b, flip)
+        proj = projector(b, g, c2, eh, spin)
         q = proj.orbit_basis()
         assert 0 < q.shape[1] < b.dim
         qtq = (q.T @ q).toarray()
@@ -279,6 +272,39 @@ def test_orbit_basis_reconstructs_projector(rng):
         assert np.array_equal(ref.indptr, q.indptr) and np.array_equal(ref.indices, q.indices)
 
 
+def test_projector_adds_spin_inversion_only_for_integer_spin_at_zero_ms():
+    # the one rule of the spin-flip generator: an integer S on a 2M_S = 0
+    # sector appends spin inversion of character (-1)^S after C2 and eh;
+    # no spin, a half-integer one, or 2M_S != 0 gives the (C2, eh) block
+    g = build_chain(4)
+    cases = [("hubbard", 0.5, Sector(ne, tm)) for ne in range(0, 9) for tm in range(-ne, ne + 1, 2)
+             if abs(tm) <= 8 - ne]
+    cases += [("heisenberg", s, Sector(None, tm)) for s in (0.5, 1.0)
+              for tm in range(-round(8 * s), round(8 * s) + 1, 2)]
+
+    def same(gens, ref):
+        return len(gens) == len(ref) and all(
+            (a != b).nnz == 0 and x == y for (a, x), (b, y) in zip(gens, ref)
+        )
+
+    flips = 0
+    for kind, site_spin, sector in cases:
+        b = enumerate_sector(g, kind, sector, site_spin)
+        eh = 1 if sector.n_electrons == 4 else None
+        ref = projector(b, g, 1, eh).generators
+        for spin in (None, 0.5, 1.5):
+            assert same(projector(b, g, 1, eh, spin).generators, ref)
+        for spin, chi in ((0, 1), (1.0, -1), (2, 1), (3.0, -1)):
+            gens = projector(b, g, 1, eh, spin).generators
+            if sector.twice_ms:
+                assert same(gens, ref)
+            else:
+                assert same(gens[:-1], ref) and gens[-1][1] == chi
+                assert (gens[-1][0] != spin_flip_operator(b)).nnz == 0
+                flips += 1
+    assert flips == 4 * (5 + 2)  # five 2M_S = 0 fermion sectors and two spin ones
+
+
 def test_orbit_basis_holds_no_group_by_dim_stack():
     # the 10-site (C2+, eh+, flip+) block: eight group elements, visited one
     # at a time; a (|G|, dim) stack of permutations and signs alone would
@@ -287,7 +313,7 @@ def test_orbit_basis_holds_no_group_by_dim_stack():
 
     g = build_chain(10)
     b = enumerate_sector(g, "hubbard", Sector(10, 0))
-    proj = _with_flip(projector(b, g, 1, 1), b, 1)
+    proj = projector(b, g, 1, 1, 0)
     tracemalloc.start()
     try:
         q = proj.orbit_basis()
