@@ -43,7 +43,7 @@ from .basis import Sector, SectorError, check_site_limit, sector_dimension
 from .hamiltonian import ModelSpec
 from .lattice import Geometry, build_chain, build_icosahedron, load_geometry
 from .solver import DENSE_CAP_DEFAULT
-from .symmetry import SymmetryError, SymmetryLabel, check_block, parse_label, spin_occurs
+from .symmetry import SymmetryError, SymmetryLabel, check_block, check_model_block, parse_label, spin_occurs
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "TASKS"]
 
@@ -112,6 +112,12 @@ class _Keys:
             raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
         return value
 
+    def positive(self, section: str, key: str, default: float) -> float:
+        value = self.number(section, key, default)
+        if value <= 0:
+            raise ConfigError(f"[{section}] {key} must be positive, got {value}")
+        return value
+
     def integer(self, section: str, key: str, default=None, required: bool = False):
         raw = self.raw(section, key, required=required)
         try:
@@ -135,9 +141,9 @@ class _Keys:
         kind = str(self.raw("geometry", "kind", required=True)).lower()
         if kind == "chain":
             n = self.integer("geometry", "n_sites", required=True)
-            return build_chain(n, self.number("geometry", "bond_length", 1.397))
+            return build_chain(n, self.positive("geometry", "bond_length", 1.397))
         if kind == "icosahedron":
-            return build_icosahedron(self.number("geometry", "edge_length", 1.397))
+            return build_icosahedron(self.positive("geometry", "edge_length", 1.397))
         if kind == "file":
             path = self.file("geometry", "path")
             try:
@@ -187,10 +193,7 @@ class _Keys:
             outside = [b for b in blocks or () if not 1 <= b < n]
             if outside:
                 raise ConfigError(f"[sweep] blocks must be in 1..{n - 1}, got {outside[0]}")
-        bond = self.number("geometry", "bond_length", 1.397)
-        if bond <= 0:
-            raise ConfigError(f"[geometry] bond_length must be positive, got {bond}")
-        return mode, lengths, n, blocks, bond
+        return mode, lengths, n, blocks, self.positive("geometry", "bond_length", 1.397)
 
 
 def _sections_from_ini(path: Path, text: str) -> dict[str, dict[str, str]]:
@@ -265,6 +268,7 @@ def load_config(path) -> RunConfig:
                                    keys.number("subspace", "spin"))
         try:
             check_block(geometry, sector, c2, eh)
+            check_model_block(model, eh)
         except SymmetryError as exc:
             raise ConfigError(f"[subspace] {exc}") from None
         if spin is not None:
@@ -300,9 +304,7 @@ def load_config(path) -> RunConfig:
         smoothing = keys.raw("profile", "smoothing", "none")
         if task == "profile" and smoothing not in SMOOTHING_MODES:
             raise ConfigError(f"[profile] smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
-        bin_width = keys.number("profile", "bin_width", 0.5)
-        if bin_width <= 0:
-            raise ConfigError(f"[profile] bin_width must be positive, got {bin_width}")
+        bin_width = keys.positive("profile", "bin_width", 0.5)
     if task == "sweep":
         model = keys.model()
         sweep = keys.sweep(model)
@@ -314,10 +316,8 @@ def load_config(path) -> RunConfig:
         if k < 1:
             raise ConfigError("[target] k must be at least 1")
     if solves_target or task == "sweep":
-        tol = keys.number("target", "tol", 1e-10)
+        tol = keys.positive("target", "tol", 1e-10)
         seed = keys.integer("target", "seed", 1)
-        if tol <= 0:
-            raise ConfigError("[target] tol must be positive")
         if seed < 0:
             raise ConfigError(f"[target] seed must be non-negative, got {seed}")
     if solves_target and label_text:
@@ -327,6 +327,7 @@ def load_config(path) -> RunConfig:
             label = parse_label(label_text)
             want = _default_sector(geometry, model, label.twice_ms_highest)
             check_block(geometry, want, label.c2_parity, label.eh_parity)
+            check_model_block(model, label.eh_parity)
         except (SectorError, SymmetryError) as exc:
             raise ConfigError(f"[target] label {label_text} on {geometry.name!r}: {exc}") from None
         if sector != want:

@@ -18,12 +18,11 @@ a seeded generator in state order, which makes solves reproducible and a
 k-state solve the prefix of a larger one; every solve returns its count of
 H products.
 
-Symmetry blocks have one path.  `_symmetry_subspace` takes the block from
-`symmetry.projector` and builds its sparse orthonormal orbit basis Q, and
-`_restrict` forms Q^T H Q.  A (C2, eh) block is about a quarter of the
-sector; where a total spin S is asked of a 2M_S = 0 sector (a `spin` of the
-dense block, or a singlet label), `projector` adds spin inversion of parity
-(-1)^S, and the block holds every other S, about an eighth of the sector.
+Symmetry blocks have one path, `_symmetry_block`: the block of
+`symmetry.projector` (C2, eh, and spin inversion of parity (-1)^S where a
+total spin S is asked of a 2M_S = 0 sector; a singlet block is about an
+eighth of the sector), its sparse orthonormal orbit basis Q, and Q^T H Q
+read off the rows of H at the orbit representatives.
 `dense_subspace_spectrum` diagonalizes that block densely;
 `lowest_in_label` takes each Lanczos state as the stream draws it, solved
 once, up to k + 40, lifts it with Q and checks its residual on the full H
@@ -55,6 +54,7 @@ from .symmetry import (
     Projector,
     SymmetryLabel,
     _spin_of,
+    check_model_block,
     format_label,
     projector,
     raising_operator,
@@ -169,24 +169,23 @@ def _as_matrix(operator):
     return arr
 
 
-def _symmetry_subspace(
+def _symmetry_block(
     operator: SparseOperator, c2_parity: int | None, eh_parity: int | None, spin: float | None, name: str
-) -> tuple[Projector, sp.csr_matrix]:
-    """The `symmetry.projector` block of the operator's sector for these
-    parities and `spin`, and its orthonormal orbit basis Q; an empty block is
-    an error."""
+) -> tuple[Projector, sp.csr_matrix, sp.csr_matrix]:
+    """The `symmetry.projector` block P of the operator's sector, its orbit
+    basis Q and Q^T H Q, symmetrized; an empty block is an error.  H Q stays
+    in the block, so (Q^T H Q)[a, b] = (H Q)[rep_a, b] / Q[rep_a, a], with
+    rep_a the first row of column a: only those rows of H are read."""
+    check_model_block(operator.model, eh_parity)
     proj = projector(operator.basis, operator.geometry, c2_parity, eh_parity, spin)
     q = proj.orbit_basis()
     if q.shape[1] == 0:
         at = "" if spin is None else f" for total spin {spin:g}"
         raise SolverError(f"the {name} symmetry subspace of sector {operator.basis.sector} is empty{at}")
-    return proj, q
-
-
-def _restrict(operator: SparseOperator, subspace: sp.csr_matrix) -> sp.csr_matrix:
-    """Q^T H Q, symmetrized, for an orthonormal sparse subspace basis Q."""
-    hs = subspace.T @ (operator.matrix @ subspace)
-    return (0.5 * (hs + hs.T)).tocsr()
+    # one entry per kept row, and the columns come in the order of their first rows
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(q.indices), prepend=-1))
+    hs = sp.diags(1.0 / q.data[first]) @ (operator.matrix[np.flatnonzero(np.diff(q.indptr))[first]] @ q)
+    return proj, q, (0.5 * (hs + hs.T)).tocsr()
 
 
 def dense_spectrum(operator, cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
@@ -218,11 +217,11 @@ def dense_subspace_spectrum(
     parity may be None to skip that symmetry.
     """
     name = f"(C2 {c2_parity}, eh {eh_parity})"
-    _, q = _symmetry_subspace(operator, c2_parity, eh_parity, spin, name)
-    m = q.shape[1]
+    _, q, block = _symmetry_block(operator, c2_parity, eh_parity, spin, name)
+    m = block.shape[0]
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
-    vals, y = sla.eigh(_restrict(operator, q).toarray())
+    vals, y = sla.eigh(block.toarray())
     vecs = _canonical_sign(q @ y)
     res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
     eig = _sharp_states(EigenSet(values=vals, vectors=vecs, residuals=res), operator.basis, spin)
@@ -492,12 +491,12 @@ def lowest_in_label(
             f"label {format_label(label)} is solved in the 2M_S = {label.twice_ms_highest} sector, "
             f"but the operator was built for 2M_S = {basis.sector.twice_ms}"
         )
-    proj, q = _symmetry_subspace(
+    proj, q, block = _symmetry_block(
         operator, label.c2_parity, label.eh_parity, label.total_spin, format_label(label)
     )
     n = min(q.shape[1], k + 40)
     vecs, vals, res = np.empty((q.shape[0], n), order="F"), np.empty(n), np.empty(n)
-    stream = _lowest_states(_restrict(operator, q), n, tol, seed, MAX_MATVECS_DEFAULT)
+    stream = _lowest_states(block, n, tol, seed, MAX_MATVECS_DEFAULT)
     for i, (_, drawn, _, matvecs) in enumerate(stream):  # column i is the state drawn last
         new = _checked_eigenset(operator.matrix, _canonical_sign(q @ drawn[:, i:i + 1]), tol)
         vecs[:, i], vals[i], res[i] = new.vectors[:, 0], new.values[0], new.residuals[0]

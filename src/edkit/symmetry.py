@@ -34,10 +34,12 @@ One rule, `check_block`, says whether a (C2, eh) block exists: each parity
 is +1, -1 or None (generator skipped), C2 needs the geometry's declared
 permutation, and eh a half-filled fermionic sector on an alternant bond
 graph.  The two operators, `projector` and the run config all ask it, so an
-impossible block is refused before any Hamiltonian is built.  A `Projector`
-is its tuple of (signed permutation, character) generators, which only
-`projector` chooses: C2, eh, then spin inversion of character (-1)^S where
-an integer total spin S is asked of a 2M_S = 0 sector.
+impossible block is refused before any Hamiltonian is built.  Every
+generator must also commute with the model's H, which `check_model_block`
+asks of eh (the run config and the solver's block build ask it).  A
+`Projector` is its tuple of (signed permutation, character) generators,
+which only `projector` chooses: C2, eh, then spin inversion of character
+(-1)^S where an integer total spin S is asked of a 2M_S = 0 sector.
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
@@ -74,6 +76,7 @@ __all__ = [
     "MixedSpinError",
     "Projector",
     "check_block",
+    "check_model_block",
     "c2_operator",
     "eh_operator",
     "spin_flip_operator",
@@ -263,6 +266,14 @@ def check_block(geometry: Geometry, sector: Sector, c2_parity: int | None, eh_pa
         raise SymmetryError("electron-hole conjugation is only defined for fermionic bases")
     if n_e != n:
         raise SymmetryError(f"electron-hole conjugation needs half filling (N_e = {n}), got N_e = {n_e}")
+
+
+def check_model_block(model, eh_parity: int | None) -> None:
+    """Raise SymmetryError where eh is asked of a model H it does not commute
+    with: n -> 2 - n keeps the PPP term (n_i - z)(n_j - z) only at z = 1.
+    C2 and spin inversion commute with every model H."""
+    if eh_parity is not None and model.kind == "ppp" and model.z != 1.0:
+        raise SymmetryError(f"electron-hole symmetry needs z = 1 in the PPP model, got z = {model.z:g}")
 
 
 class Projector:

@@ -841,6 +841,41 @@ def test_block_rejected_before_build(tmp_path, capsys, monkeypatch, task, geomet
 
 
 @pytest.mark.parametrize(
+    "task, twice_ms, block",
+    [("profile", 0, "[subspace]\neh = 1"), ("dos", 0, "[subspace]\nc2 = 1\neh = -1\nspin = 0"),
+     ("solve", 0, "[target]\nlabel = 1_Ag+"), ("entangle", 0, "[target]\nlabel = 1_Bu-"),
+     ("solve", 2, "[target]\nlabel = 3_Bu+")],
+    ids=["subspace-eh", "subspace-spin", "label-1Ag+", "entangle-1Bu-", "label-3Bu+"],
+)
+def test_eh_of_ppp_away_from_z_1_exit_2(tmp_path, capsys, monkeypatch, task, twice_ms, block):
+    # eh commutes with the PPP H only at z = 1: every eh block is refused at load
+    _never_build(monkeypatch)
+    text = BLOCK_CFG.format(task=task, out=tmp_path / "out", geometry="kind = chain\nn_sites = 6",
+                            model="ppp", n_electrons=6, block=block)
+    text = text.replace("U = 4.0\n", "U = 4.0\nz = 0.5\n")
+    text = text.replace("twice_ms = 0", f"twice_ms = {twice_ms}")
+    assert main(["run", str(_write(tmp_path, "ppp.cfg", text))]) == 2
+    err = capsys.readouterr().err
+    assert "electron-hole symmetry needs z = 1 in the PPP model, got z = 0.5" in err
+    section = "[subspace]" if task in ("profile", "dos") else "[target] label"
+    assert err.startswith(f"config error: {section}")
+    assert not (tmp_path / "out").exists()  # load stopped it: no manifest
+
+
+def test_ppp_z_1_keeps_its_eh_blocks(tmp_path):
+    # z = 1 given is the default; z = 0.5 without eh keeps its C2 block
+    outputs = []
+    runs = (("default", "", "eh = 1\n"), ("explicit", "z = 1\n", "eh = 1\n"), ("c2-only", "z = 0.5\n", ""))
+    for name, z, eh in runs:
+        text = BLOCK_CFG.format(task="dos", out=tmp_path / name, geometry="kind = chain\nn_sites = 6",
+                                model="ppp", n_electrons=6, block=f"[subspace]\nc2 = 1\n{eh}spin = 0")
+        text = text.replace("U = 4.0\n", f"U = 4.0\n{z}")
+        assert main(["run", str(_write(tmp_path, f"{name}.cfg", text))]) == 0
+        outputs.append(sorted(p.read_bytes() for p in (tmp_path / name).glob("*.csv")))
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
     "twice_ms, spin, message",
     [
         (2, "0", "[subspace] spin = 0.0 does not occur in Sector(n_electrons=6, twice_ms=2) on 6 "
@@ -948,6 +983,42 @@ def test_sweep_blocks_checked_at_load(tmp_path, capsys, monkeypatch, keys, messa
     assert main(["run", str(_write(tmp_path, "sweep.cfg", text))]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # load stopped it: no manifest
+
+
+@pytest.mark.parametrize(
+    "task, geometry, target, message",
+    [("profile", "kind = chain\nn_sites = 8\nbond_length = 0", "",
+      "[geometry] bond_length must be positive, got 0.0"),
+     ("solve", "kind = chain\nn_sites = 8\nbond_length = -1", "",
+      "[geometry] bond_length must be positive, got -1.0"),
+     ("solve", "kind = icosahedron\nedge_length = 0", "", "[geometry] edge_length must be positive, got 0.0"),
+     ("solve", "kind = chain\nn_sites = 8", "tol = 0", "[target] tol must be positive, got 0.0")],
+    ids=["chain-zero-bond-length", "chain-negative-bond-length", "icosahedron-zero-edge-length",
+         "zero-tol"],
+)
+def test_positive_keys_checked_at_load(tmp_path, capsys, monkeypatch, task, geometry, target, message):
+    _never_build(monkeypatch)
+    text = (f"[run]\ntask = {task}\noutput = {tmp_path / 'out'}\n[geometry]\n{geometry}\n"
+            f"[model]\nkind = heisenberg\n[sector]\ntwice_ms = 0\n[entangle]\nleft_size = 4\n"
+            f"[target]\n{target}\n")
+    assert main(["run", str(_write(tmp_path, "positive.cfg", text))]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # load stopped it: no manifest
+
+
+def test_subspace_above_dense_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # the dense cap is checked on the block's dimension once the block is
+    # built: the 8-site (C2 +1, eh +1) block holds 1,269 states
+    import edkit.solver
+
+    monkeypatch.setattr(edkit.solver, "DENSE_CAP_DEFAULT", 1000)
+    text = BLOCK_CFG.format(task="profile", out=tmp_path / "out", geometry="kind = chain\nn_sites = 8",
+                            model="hubbard", n_electrons=8, block="[subspace]\nc2 = 1\neh = 1")
+    assert main(["run", str(_write(tmp_path, "cap.cfg", text))]) == 3
+    message = "subspace dimension 1269 exceeds the dense cap 1000"
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == message
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,7 @@ _VALID = {
 _OTHER = {
     ("geometry", "kind"): ["file", "ring"], ("geometry", "n_sites"): ["1", "2", "3", "0", "70"],
     ("geometry", "path"): ["missing.geom", "."],
-    ("model", "kind"): ["huckel", "ppp", "heisenberg", "bogus"], ("model", "U"): ["0", "40"],
+    ("model", "kind"): ["huckel", "ppp", "heisenberg", "bogus"], ("model", "U"): ["0", "40"], ("model", "z"): ["0.5"],
     ("model", "site_spin"): ["0.5", "1", "0.3"],
     ("sector", "n_electrons"): ["2", "3", "5", "9"], ("sector", "twice_ms"): ["1", "2", "-2", "4"],
     ("subspace", "c2"): ["-1", "0"], ("subspace", "eh"): ["1", "-1", "2"],

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +19,7 @@ from edkit.solver import (
     _gershgorin,
     _lowest_states,
     _recur,
+    _symmetry_block,
     dense_spectrum,
     dense_subspace_spectrum,
     group_degenerate,
@@ -24,7 +27,7 @@ from edkit.solver import (
     lowest_in_label,
     sharpen_spin,
 )
-from edkit.symmetry import parse_label, projector, raising_operator, total_spin
+from edkit.symmetry import SymmetryError, parse_label, projector, raising_operator, total_spin
 
 
 def _all_sectors(n):
@@ -278,6 +281,76 @@ def test_lowest_in_label_k2_distinct():
         v = eig.vectors[:, i]
         assert np.linalg.norm(proj.apply(v) - v) <= 1e-8
         assert total_spin(v, h.basis) == 0.0
+
+
+def test_dense_subspace_cap_names_the_block_dimension(monkeypatch):
+    # the cap is checked on the block's dimension, once the block is built
+    import edkit.solver
+
+    h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
+    m = projector(h.basis, h.geometry, 1, 1).orbit_basis().shape[1]
+    monkeypatch.setattr(edkit.solver, "DENSE_CAP_DEFAULT", m - 1)
+    with pytest.raises(DimensionCapError, match=f"^subspace dimension {m} exceeds the dense cap {m - 1}$"):
+        dense_subspace_spectrum(h, 1, 1)
+
+
+def _blocks(g, spec, sector):
+    """Every (C2, eh, spin) block of the sector that exists and is not empty."""
+    h = build_model(g, spec, sector)
+    c2s = (1, -1, None) if g.c2_perm is not None else (None,)
+    ehs = (1, -1, None) if spec.fermionic and sector.n_electrons == g.n_sites else (None,)
+    spins = (None, 0.0, 1.0) if sector.twice_ms == 0 else (None,)
+    for c2, eh, spin in itertools.product(c2s, ehs, spins):
+        try:
+            block = _symmetry_block(h, c2, eh, spin, "block")
+        except SolverError:  # an empty block
+            continue
+        yield h, block
+
+
+ORACLE_MODELS = [
+    ModelSpec(kind="hubbard", t=-1.0, U=4.0), ModelSpec(kind="ppp", t=-2.4, U=11.26),
+    ModelSpec(kind="huckel", t=-2.4),
+]
+ORACLE_CASES = [
+    pytest.param(build_chain(n, 1.397), spec, Sector(n, tm), id=f"{spec.kind}{n}-2ms{tm}")
+    for n in (4, 6, 8) for spec in ORACLE_MODELS for tm in (0, 2)
+] + [
+    pytest.param(build_chain(6), ModelSpec(kind="heisenberg", site_spin=s), Sector(None, 0),
+                 id=f"heisenberg6-s{s}")
+    for s in (0.5, 1.0)
+] + [pytest.param(build_icosahedron(1.397), ModelSpec(kind="heisenberg"), Sector(None, 0), id="icosahedron")]
+
+
+@pytest.mark.parametrize("g, spec, sector", ORACLE_CASES)
+def test_block_read_off_representatives_is_qt_h_q(g, spec, sector):
+    # the block is built from the representatives' rows of H alone; it must
+    # equal the whole product Q^T H Q formed here
+    count = 0
+    for h, (_, q, block) in _blocks(g, spec, sector):
+        oracle = (q.T @ h.matrix @ q).toarray()
+        assert np.abs(block.toarray() - oracle).max() <= 1e-13 * np.abs(h.matrix).max()
+        count += 1
+    assert count >= 3
+
+
+def test_eh_block_of_ppp_away_from_z_1_is_refused(monkeypatch):
+    # eh commutes with the PPP H only at z = 1; away from it the block is not
+    # a symmetry block, and both block solves refuse it before building it
+    from edkit.symmetry import Projector
+
+    def never(self, tol=1e-12):
+        raise AssertionError("the block was built")
+
+    h = build_model(build_chain(6), ModelSpec(kind="ppp", t=-2.4, U=11.26, z=0.5), Sector(6, 0))
+    monkeypatch.setattr(Projector, "orbit_basis", never)
+    message = "electron-hole symmetry needs z = 1 in the PPP model, got z = 0.5"
+    with pytest.raises(SymmetryError, match=message):
+        dense_subspace_spectrum(h, 1, 1, 0.0)
+    with pytest.raises(SymmetryError, match=message):
+        lowest_in_label(h, parse_label("1_Ag+"))
+    monkeypatch.undo()
+    assert dense_subspace_spectrum(h, 1, None, 0.0).residuals.max() < 1e-10  # C2 alone stays
 
 
 def test_lowest_in_label_wrong_sector():
