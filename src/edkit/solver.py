@@ -9,20 +9,21 @@ sums the Ritz vector.  Its products use `operator @ x`, the Kronecker sum
 of a fermion H in row blocks on every CPU (see `hamiltonian`); the vector
 updates of each step run block by block on the calling thread, and the two
 inner products of a step over whole vectors, so the bits do not depend on
-the CPU count or the block size.  The true residual is then checked on the
-CSR `matrix`, an independent form of the same H, and a miss restarts from
-the Ritz vector.  For k > 1 each further state is the lowest of H with
-the found states shifted above its spectrum (Hotelling deflation), so a
-degenerate partner is simply the next state found.  Start vectors come from
-a seeded generator in state order, which makes solves reproducible and a
-k-state solve the prefix of a larger one; every solve returns its count of
-H products.
+the CPU count or the block size.  For k > 1 each further state is the
+lowest of H with the found states shifted above its spectrum (Hotelling
+deflation), so a degenerate partner is simply the next state found; its
+Ritz vector is projected off the found states, whose small components would
+otherwise keep its residual on H above `tol`.  The true residual is then
+checked on the CSR `matrix`, an independent form of the same H, and a miss
+restarts from the Ritz vector.  Start vectors come from a seeded generator in
+state order, which makes solves reproducible and a k-state solve the prefix
+of a larger one; every solve returns its count of H products.
 
 Symmetry blocks have one path, `_symmetry_block`: the block of
 `symmetry.projector` (C2, eh, and spin inversion of parity (-1)^S where a
 total spin S is asked of a 2M_S = 0 sector; a singlet block is about an
 eighth of the sector), its sparse orthonormal orbit basis Q, and Q^T H Q
-read off the rows of H at the orbit representatives.
+read off the rows of H at the orbit representatives, used as read.
 `dense_subspace_spectrum` diagonalizes that block densely;
 `lowest_in_label` takes each Lanczos state as the stream draws it, solved
 once, up to k + 40, lifts it with Q and checks its residual on the full H
@@ -173,9 +174,10 @@ def _symmetry_block(
     operator: SparseOperator, c2_parity: int | None, eh_parity: int | None, spin: float | None, name: str
 ) -> tuple[Projector, sp.csr_matrix, sp.csr_matrix]:
     """The `symmetry.projector` block P of the operator's sector, its orbit
-    basis Q and Q^T H Q, symmetrized; an empty block is an error.  H Q stays
-    in the block, so (Q^T H Q)[a, b] = (H Q)[rep_a, b] / Q[rep_a, a], with
-    rep_a the first row of column a: only those rows of H are read."""
+    basis Q and Q^T H Q, used as read (symmetric to rounding); an empty block
+    is an error.  H Q stays in the block, so (Q^T H Q)[a, b] = (H Q)[rep_a, b]
+    / Q[rep_a, a], with rep_a the first row of column a: only those rows of H
+    are read."""
     check_model_block(operator.model, eh_parity)
     proj = projector(operator.basis, operator.geometry, c2_parity, eh_parity, spin)
     q = proj.orbit_basis()
@@ -184,16 +186,18 @@ def _symmetry_block(
         raise SolverError(f"the {name} symmetry subspace of sector {operator.basis.sector} is empty{at}")
     # one entry per kept row, and the columns come in the order of their first rows
     first = np.flatnonzero(np.diff(np.maximum.accumulate(q.indices), prepend=-1))
-    hs = sp.diags(1.0 / q.data[first]) @ (operator.matrix[np.flatnonzero(np.diff(q.indptr))[first]] @ q)
-    return proj, q, (0.5 * (hs + hs.T)).tocsr()
+    hs = operator.matrix[np.flatnonzero(np.diff(q.indptr))[first]] @ q
+    hs.data *= np.repeat(1.0 / q.data[first], np.diff(hs.indptr))
+    hs.sort_indices()  # each block product sums its row in column order, whatever SciPy's product left
+    return proj, q, hs
 
 
-def dense_spectrum(operator, cap: int = DENSE_CAP_DEFAULT) -> EigenSet:
-    """All eigenpairs of a Hermitian operator, ascending."""
+def dense_spectrum(operator) -> EigenSet:
+    """All eigenpairs of a Hermitian operator of at most DENSE_CAP_DEFAULT states, ascending."""
     mat = _as_matrix(operator)
-    if mat.shape[0] > cap:
+    if mat.shape[0] > DENSE_CAP_DEFAULT:
         raise DimensionCapError(
-            f"dimension {mat.shape[0]} exceeds the dense cap {cap}; use lanczos_lowest"
+            f"dimension {mat.shape[0]} exceeds the dense cap {DENSE_CAP_DEFAULT}; use lanczos_lowest"
         )
     dense = mat.toarray() if sp.issparse(mat) else mat
     vals, vecs = sla.eigh(dense)
@@ -222,7 +226,7 @@ def dense_subspace_spectrum(
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
     vals, y = sla.eigh(block.toarray())
-    vecs = _canonical_sign(q @ y)
+    vecs = q @ y  # signed once, by sharpen_spin
     res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
     eig = _sharp_states(EigenSet(values=vals, vectors=vecs, residuals=res), operator.basis, spin)
     if not eig.k:
@@ -230,21 +234,15 @@ def dense_subspace_spectrum(
     return eig
 
 
-def lanczos_lowest(
-    operator,
-    k: int = 1,
-    tol: float = 1e-10,
-    seed: int = 1,
-    max_matvecs: int = MAX_MATVECS_DEFAULT,
-) -> EigenSet:
+def lanczos_lowest(operator, k: int = 1, tol: float = 1e-10, seed: int = 1) -> EigenSet:
     """Lowest k eigenpairs, one two-pass Lanczos solve per state.
 
     State i is the lowest of H + sum_{j<i} (c - lambda_j) v_j v_j^T, with c
     above the spectrum of H, so the found states sit at c and a degenerate
     partner is the lowest state of the next solve.  The solve stops with
-    NonConvergenceError after about `max_matvecs` products.  Every returned
-    vector has its residual ||H x - lambda x|| on the CSR matrix checked
-    against `tol`.
+    NonConvergenceError after about MAX_MATVECS_DEFAULT products.  Every
+    returned vector has its residual ||H x - lambda x|| on the CSR matrix
+    checked against `tol`.
     """
     mat = _as_matrix(operator)
     dim = mat.shape[0]
@@ -254,11 +252,11 @@ def lanczos_lowest(
         raise SolverError(f"requested {k} eigenpairs from a dimension-{dim} sector")
     if k >= dim - 1:  # all states, or all but one: cheaper densely
         return _checked_eigenset(mat, dense_spectrum(mat).vectors[:, :k], tol)
-    *_, (vals, vecs, res, matvecs) = _lowest_states(operator, k, tol, seed, max_matvecs)
+    *_, (vals, vecs, res, matvecs) = _lowest_states(operator, k, tol, seed)
     return EigenSet(vals, vecs, res, matvecs=matvecs)
 
 
-def _lowest_states(operator, n: int, tol: float, seed: int, max_matvecs: int) -> Iterator[tuple]:
+def _lowest_states(operator, n: int, tol: float, seed: int) -> Iterator[tuple]:
     """The states of `lanczos_lowest` in the order drawn, each solved once into
     a (dim, n) buffer: item i is (values, vectors, residuals) of its first
     i + 1 states, unsorted views, and the products made so far."""
@@ -279,7 +277,8 @@ def _lowest_states(operator, n: int, tol: float, seed: int, max_matvecs: int) ->
     for i in range(n):
         if i == 1:  # the shift: above every eigenvalue of H
             c = _gershgorin(mat) + 1.0
-        eig = _two_pass(product, mat, rng.standard_normal(len(vecs)), tol, max_matvecs - matvecs)
+        budget = MAX_MATVECS_DEFAULT - matvecs
+        eig = _two_pass(product, mat, rng.standard_normal(len(vecs)), tol, budget, vecs[:, :i])
         vecs[:, i], vals[i], res[i] = eig.vectors[:, 0], eig.values[0], eig.residuals[0]
         matvecs += eig.matvecs
         yield vals[:i + 1], vecs[:, :i + 1], res[:i + 1], matvecs
@@ -335,9 +334,10 @@ def _recur(
             x[a:b] += y * block
 
 
-def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int) -> EigenSet:
+def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int, found: np.ndarray) -> EigenSet:
     """Lowest eigenpair by two-pass Lanczos from `start`, with products
-    `apply(v)` and the true residual checked on `mat`.
+    `apply(v)` and the true residual checked on `mat` after projecting the
+    Ritz vector off `found`, the orthonormal states `apply` deflates.
 
     Pass 1 takes at most half the remaining products, so that pass 2 and
     the check fit in the rest.  A Ritz vector that misses `tol` restarts
@@ -371,6 +371,7 @@ def _two_pass(apply, mat, start: np.ndarray, tol: float, max_matvecs: int) -> Ei
             matvecs += 1
             _recur(w, v, v_prev, alpha[j], beta[j - 1] if j else 0.0, beta[j], x, y[j + 1, 0])
             v_prev, v = v, w
+        x -= found @ (found.T @ x)
         vecs, vals, res = _rayleigh(mat, _canonical_sign(x[:, None]))
         matvecs += 1
         if res[0] <= tol:
@@ -404,24 +405,24 @@ def _checked_eigenset(mat, vecs: np.ndarray, tol: float) -> EigenSet:
     return EigenSet(values=vals, vectors=vecs, residuals=res, matvecs=len(vals))
 
 
-def _degenerate_ranges(values: np.ndarray, rel_tol: float = DEGENERATE_RTOL) -> Iterator[tuple[int, int]]:
+def _degenerate_ranges(values: np.ndarray) -> Iterator[tuple[int, int]]:
     """Index ranges [i, j) of the greedy grouping of consecutive values that
-    lie within rel_tol * max(1, |values[i]|) of each group's first value."""
+    lie within DEGENERATE_RTOL * max(1, |values[i]|) of each group's first value."""
     i = 0
     while i < len(values):
         ref = values[i]
         j = i + 1
-        while j < len(values) and abs(values[j] - ref) <= rel_tol * max(1.0, abs(ref)):
+        while j < len(values) and abs(values[j] - ref) <= DEGENERATE_RTOL * max(1.0, abs(ref)):
             j += 1
         yield i, j
         i = j
 
 
-def group_degenerate(eigenset: EigenSet, rel_tol: float = DEGENERATE_RTOL) -> list[DegenerateManifold]:
-    """Greedy grouping of consecutive eigenvalues into degenerate manifolds."""
+def group_degenerate(eigenset: EigenSet) -> list[DegenerateManifold]:
+    """Greedy grouping of consecutive eigenvalues into degenerate manifolds (DEGENERATE_RTOL)."""
     return [
         DegenerateManifold(float(eigenset.values[i]), eigenset.vectors[:, i:j].copy())
-        for i, j in _degenerate_ranges(eigenset.values, rel_tol)
+        for i, j in _degenerate_ranges(eigenset.values)
     ]
 
 
@@ -496,7 +497,7 @@ def lowest_in_label(
     )
     n = min(q.shape[1], k + 40)
     vecs, vals, res = np.empty((q.shape[0], n), order="F"), np.empty(n), np.empty(n)
-    stream = _lowest_states(block, n, tol, seed, MAX_MATVECS_DEFAULT)
+    stream = _lowest_states(block, n, tol, seed)
     for i, (_, drawn, _, matvecs) in enumerate(stream):  # column i is the state drawn last
         new = _checked_eigenset(operator.matrix, _canonical_sign(q @ drawn[:, i:i + 1]), tol)
         vecs[:, i], vals[i], res[i] = new.vectors[:, 0], new.values[0], new.residuals[0]

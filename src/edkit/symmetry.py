@@ -193,12 +193,7 @@ def c2_operator(basis: BasisTable, geometry: Geometry) -> sp.csr_matrix:
 def _neel_reference(n_sites: int, n_up: int) -> tuple[int, int]:
     """Covalent reference masks: up on odd sites, extra up spins filled from
     the even sites in ascending order."""
-    odd = [s for s in range(1, n_sites + 1) if s % 2 == 1]
-    even = [s for s in range(1, n_sites + 1) if s % 2 == 0]
-    if n_up < len(odd):
-        ups = odd[:n_up]
-    else:
-        ups = odd + even[: n_up - len(odd)]
+    ups = [*range(1, n_sites + 1, 2), *range(2, n_sites + 1, 2)][:n_up]
     up_mask = sum(1 << (s - 1) for s in ups)
     dn_mask = ((1 << n_sites) - 1) ^ up_mask
     return up_mask, dn_mask
@@ -293,7 +288,7 @@ class Projector:
             out = 0.5 * (out + parity * (op @ out))
         return out
 
-    def orbit_basis(self, tol: float = 1e-12) -> sp.csr_matrix:
+    def orbit_basis(self) -> sp.csr_matrix:
         """Sparse orthonormal basis of the projector's range.
 
         Projected basis vectors supported on disjoint group orbits are
@@ -324,7 +319,7 @@ class Projector:
             np.minimum(rep, perm, out=rep)
         coef /= 2 ** len(self.generators)
         norm2 = np.bincount(rep, weights=coef * coef, minlength=self.dim)
-        kept = (rep == np.arange(self.dim)) & (norm2 > tol)
+        kept = (rep == np.arange(self.dim)) & (norm2 > 0)  # exact sums: a cancelled orbit has 0
         col = np.cumsum(kept, dtype=np.int32) - 1
         in_kept = kept[rep]
         rows_rep = rep[in_kept]

@@ -188,6 +188,21 @@ k = 1
     assert "PASS labels" in out and "1_Bu-" in out
 
 
+@pytest.mark.parametrize("target", [{"k": 30}, {"k": 20, "label": "1_Ag+"}])
+def test_deep_deflated_solve_exits_0_and_verifies(tmp_path, capsys, target):
+    # deflated states past the first dozen once stalled just above tol (exit 3)
+    sections = {
+        "run": {"task": "solve", "output": str(tmp_path / "out")},
+        "geometry": {"kind": "chain", "n_sites": 6},
+        "model": {"kind": "hubbard", "t": -1.0, "U": 4.0},
+        "sector": {"n_electrons": 6, "twice_ms": 0},
+        "target": target,
+    }
+    assert main(["run", str(_write(tmp_path, "deep.json", json.dumps(sections)))]) == 0
+    assert main(["verify", str(tmp_path / "out" / "eigenpairs.edarch")]) == 0
+    assert "PASS residuals" in capsys.readouterr().out
+
+
 def test_rerun_reproduces_byte_identical_csv(tmp_path):
     cfg_text = """\
 [run]
