@@ -106,6 +106,7 @@ def write_archive(
         "tol": tol,
         "seed": seed,
     }
+    _check_header(path, header)  # the reader's rules: an empty set, say, is refused
     probe = json.dumps(header, sort_keys=True).encode("utf-8")
     header_bytes = len(probe) + 1  # trailing newline
     payload_offset = _MAGIC_LINE_LEN + header_bytes
@@ -158,9 +159,9 @@ def _check_header(path, header) -> None:
     if not (
         isinstance(shape, list)
         and len(shape) == 2
-        and all(type(n) is int and n >= 0 for n in shape)
+        and all(type(n) is int and n >= 1 for n in shape)
     ):
-        raise ArchiveError(f"{path}: header 'shape' must be two non-negative integers, got {shape!r}")
+        raise ArchiveError(f"{path}: header 'shape' must be two positive integers, got {shape!r}")
     offset = header.get("payload_offset")
     if not (isinstance(offset, str) and offset.isdigit()):
         raise ArchiveError(f"{path}: header 'payload_offset' must be a digit string, got {offset!r}")

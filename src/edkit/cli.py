@@ -286,6 +286,9 @@ def cmd_run(args) -> int:
     except ValueError as exc:  # ConfigError and GeometryError, and any other bad value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:  # a geometry file's sites, say, whose distances do not fit
+        print(_OUT_OF_MEMORY, file=sys.stderr)
+        return EXIT_NUMERICAL
     try:
         ctx = RunContext(cfg)
     except OSError as exc:

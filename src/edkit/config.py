@@ -137,10 +137,11 @@ class _Keys:
         path = Path(self.raw(section, key, required=True))
         return path if path.is_absolute() else self.path.parent / path
 
-    def geometry(self) -> Geometry:
+    def geometry(self, model: ModelSpec) -> Geometry:
         kind = str(self.raw("geometry", "kind", required=True)).lower()
         if kind == "chain":
             n = self.integer("geometry", "n_sites", required=True)
+            check_site_limit(n, model.kind)  # before the chain's n x n distances are built
             return build_chain(n, self.positive("geometry", "bond_length", 1.397))
         if kind == "icosahedron":
             return build_icosahedron(self.positive("geometry", "edge_length", 1.397))
@@ -257,7 +258,8 @@ def load_config(path) -> RunConfig:
     geometry = model = sector = subspace = archive = left = sweep = label = None
     state, smoothing, bin_width = 1, "none", 0.5
     if solves_target or dense:
-        model, geometry = keys.model(), keys.geometry()
+        model = keys.model()
+        geometry = keys.geometry(model)
         check_site_limit(geometry.n_sites, model.kind)
         sector = keys.sector(model)
         dim = sector_dimension(geometry.n_sites, model.kind, sector, site_spin=model.site_spin)

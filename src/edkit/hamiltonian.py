@@ -215,8 +215,6 @@ class SparseOperator:
             out += diag[a:b] * v[a:b]
             return out
 
-        if len(up_rows) == 1:
-            return block(0, len(v)).reshape(-1)
         out = np.empty(diag.shape, np.result_type(diag, v))
 
         def rows(a: int, b: int) -> None:

@@ -31,6 +31,12 @@ class GeometryError(ValueError):
     """Invalid geometry data (bad indices, self-bonds, coincident sites...)."""
 
 
+def _pair_distances(coords: np.ndarray) -> np.ndarray:
+    """|r_i - r_j| for every pair of sites, as an (n, n) array."""
+    delta = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt(np.sum(delta * delta, axis=-1))
+
+
 def _normalize_bonds(bonds: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     out = set()
     for i, j in bonds:
@@ -95,8 +101,7 @@ class Geometry:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        delta = self.coords[:, None, :] - self.coords[None, :, :]
-        d = np.sqrt(np.sum(delta * delta, axis=-1))
+        d = _pair_distances(self.coords)
         d.flags.writeable = False
         return d
 
@@ -158,8 +163,7 @@ def _icosahedron_coords(edge: float) -> np.ndarray:
 
 def _min_distance_pairs(coords: np.ndarray, rtol: float = 1e-9) -> tuple[tuple[int, int], ...]:
     n = coords.shape[0]
-    delta = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt(np.sum(delta * delta, axis=-1))
+    d = _pair_distances(coords)
     iu = np.triu_indices(n, k=1)
     dmin = d[iu].min()
     pairs = [
@@ -193,8 +197,7 @@ def _is_symmetry_perm(coords: np.ndarray, bonds: tuple[tuple[int, int], ...],
                       perm: Sequence[int]) -> bool:
     """True if `perm` preserves all pairwise distances and the bond set."""
     idx = np.asarray(perm, dtype=int) - 1
-    delta = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt(np.sum(delta * delta, axis=-1))
+    d = _pair_distances(coords)
     if not np.allclose(d[np.ix_(idx, idx)], d, rtol=0.0, atol=1e-8 * max(1.0, d.max())):
         return False
     mapped = {(min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in bonds}

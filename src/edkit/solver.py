@@ -28,17 +28,16 @@ read off the rows of H at the orbit representatives, used as read.
 `lowest_in_label` takes each Lanczos state as the stream draws it, solved
 once, up to k + 40, lifts it with Q and checks its residual on the full H
 once, so its `matvecs` are the block products plus one check per drawn
-state.  Both end in one step, `_sharp_states`: `sharpen_spin` rotates each
-degenerate manifold to sharp S^2 from the Gram matrix of its images under
-the sparse S+ of `symmetry.raising_operator`, and the lowest states of one
-sharp total spin are kept.  `lowest_in_label` checks the returned block
-against the projector P itself, not against Q: one `P @ block` product must
-leave every vector within 1e-8.
+state.  Both end in one spin step, `sharpen_spin`: it builds the sparse S+
+of `symmetry.raising_operator` once, rotates each degenerate manifold to
+sharp S^2 from the Gram matrix of its images, reads <S^2> off the same
+images and keeps the states of one total spin; dense residuals come after
+it.  `lowest_in_label` takes the first k and checks them against the
+projector P itself, not Q: `P @ block` must leave every vector within 1e-8.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -51,15 +50,12 @@ from . import hamiltonian
 from .basis import BasisTable
 from .hamiltonian import SparseOperator
 from .symmetry import (
-    MixedSpinError,
     Projector,
     SymmetryLabel,
-    _spin_of,
     check_model_block,
     format_label,
     projector,
     raising_operator,
-    spin_squared,
 )
 
 __all__ = [
@@ -215,10 +211,10 @@ def dense_subspace_spectrum(
     """Full spectrum of one (C2, eh) symmetry block of the operator's sector.
 
     Q^T H Q is diagonalized densely, the vectors are lifted back to sector
-    coordinates, degenerate manifolds are rotated to sharp S^2, and with
-    `spin` given only the states of that total spin are kept; at 2M_S = 0
-    the block is then also the spin-flip block of parity (-1)^S.  Either
-    parity may be None to skip that symmetry.
+    coordinates, degenerate manifolds are rotated to sharp S^2, with `spin`
+    only the states of that total spin are kept (at 2M_S = 0 the block is
+    then the spin-flip block of parity (-1)^S), and the residuals are those
+    of the vectors returned.  Either parity may be None to skip a symmetry.
     """
     name = f"(C2 {c2_parity}, eh {eh_parity})"
     _, q, block = _symmetry_block(operator, c2_parity, eh_parity, spin, name)
@@ -226,11 +222,10 @@ def dense_subspace_spectrum(
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
     vals, y = sla.eigh(block.toarray())
-    vecs = q @ y  # signed once, by sharpen_spin
-    res = np.linalg.norm(operator.matrix @ vecs - vecs * vals[None, :], axis=0)
-    eig = _sharp_states(EigenSet(values=vals, vectors=vecs, residuals=res), operator.basis, spin)
+    eig = sharpen_spin(EigenSet(vals, q @ y, np.zeros(m)), operator.basis, spin)  # signs each column once
     if not eig.k:
         raise SolverError(f"no states of total spin {spin} in the {name} symmetry subspace")
+    eig.residuals = np.linalg.norm(operator.matrix @ eig.vectors - eig.vectors * eig.values[None, :], axis=0)
     return eig
 
 
@@ -426,44 +421,39 @@ def group_degenerate(eigenset: EigenSet) -> list[DegenerateManifold]:
     ]
 
 
-def sharpen_spin(eigenset: EigenSet, basis: BasisTable) -> EigenSet:
-    """Rotate each degenerate manifold so that every vector has sharp S^2.
+def sharpen_spin(eigenset: EigenSet, basis: BasisTable, spin: float | None = None) -> EigenSet:
+    """Rotate each degenerate manifold so that every vector has sharp S^2,
+    and with `spin` given keep only the states of that total spin.
 
     The S^2 matrix elements within a manifold follow from the raised images,
-    <v_i| S^2 |v_j> = M(M+1) delta_ij + <S+ v_i | S+ v_j>.
+    <v_i| S^2 |v_j> = M(M+1) delta_ij + <S+ v_i | S+ v_j>, so a rotated
+    state's <S^2> is a Gram eigenvalue and a lone state's M(M+1) + |S+ v|^2;
+    S+ is built once, and only where a manifold or `spin` needs it.
     """
     m = basis.sector.twice_ms / 2.0
-    vectors = eigenset.vectors.copy()
-    raising = None  # built at the first degenerate manifold
-    for i, j in _degenerate_ranges(eigenset.values):
+    ranges = list(_degenerate_ranges(eigenset.values))
+    lone = [i for i, j in ranges if j - i == 1]
+    raising = raising_operator(basis) if spin is not None or len(lone) < len(ranges) else None
+    vectors, s2 = eigenset.vectors.copy(), np.empty(eigenset.k)
+    for i, j in ranges:
         if j - i > 1:
-            if raising is None:
-                raising = raising_operator(basis)
             block = vectors[:, i:j]
             images = raising @ block
-            _, rot = sla.eigh(m * (m + 1.0) * np.eye(j - i) + images.T @ images)
+            s2[i:j], rot = sla.eigh(m * (m + 1.0) * np.eye(j - i) + images.T @ images)
             vectors[:, i:j] = block @ rot
+    keep = range(eigenset.k)
+    if spin is not None:
+        images = raising @ vectors  # all columns: a subset would be copied, then copied again in C order
+        s2[lone] = m * (m + 1.0) + np.einsum("ij,ij->j", images, images)[lone]
+        del images  # freed before the kept columns are copied
+        keep = np.flatnonzero(np.abs(s2 - spin * (spin + 1.0)) <= 1e-6)  # total_spin's tolerance
+        vectors = vectors[:, keep]
     return EigenSet(
-        values=eigenset.values.copy(),
+        values=eigenset.values[keep],
         vectors=_canonical_sign(vectors),
-        residuals=eigenset.residuals.copy(),
-        labels=list(eigenset.labels) if eigenset.labels else None,
+        residuals=eigenset.residuals[keep],
+        labels=[eigenset.labels[i] for i in keep] if eigenset.labels else None,
     )
-
-
-def _sharp_states(eig: EigenSet, basis: BasisTable, spin: float | None, k: int | None = None) -> EigenSet:
-    """`sharpen_spin`, then with `spin` given the lowest k states (all where k
-    is None) of that sharp total spin; states of mixed spin are skipped."""
-    eig = sharpen_spin(eig, basis)
-    if spin is None:
-        return eig
-    keep = []
-    for i, s2 in enumerate(spin_squared(eig.vectors, basis)):  # <S^2> of every state from one product
-        with contextlib.suppress(MixedSpinError):
-            if abs(_spin_of(s2, basis.sector.twice_ms) - spin) < 0.25:
-                keep.append(i)
-    keep = keep[:k]
-    return EigenSet(values=eig.values[keep], vectors=eig.vectors[:, keep], residuals=eig.residuals[keep])
 
 
 def lowest_in_label(
@@ -501,15 +491,16 @@ def lowest_in_label(
     for i, (_, drawn, _, matvecs) in enumerate(stream):  # column i is the state drawn last
         new = _checked_eigenset(operator.matrix, _canonical_sign(q @ drawn[:, i:i + 1]), tol)
         vecs[:, i], vals[i], res[i] = new.vectors[:, 0], new.values[0], new.residuals[0]
-        eig = _sharp_states(EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1]), basis, label.total_spin, k)
-        if eig.k == k:
+        eig = sharpen_spin(EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1]), basis, label.total_spin)
+        if eig.k >= k:
             break
     else:
         raise SolverError(
             f"found only {eig.k} of {k} states with label {format_label(label)} "
             f"among the lowest {n} of the symmetry subspace"
         )
-    drift = float(np.max(np.linalg.norm(proj.apply(eig.vectors) - eig.vectors, axis=0), initial=0.0))
+    kept = eig.vectors[:, :k]
+    drift = float(np.max(np.linalg.norm(proj.apply(kept) - kept, axis=0), initial=0.0))
     if drift > 1e-8:
         raise SolverError(f"projection drift {drift:.2e} exceeds 1e-8; increase tol")
-    return EigenSet(eig.values, eig.vectors, eig.residuals, [format_label(label)] * k, matvecs + i + 1)
+    return EigenSet(eig.values[:k], kept, eig.residuals[:k], [format_label(label)] * k, matvecs + i + 1)

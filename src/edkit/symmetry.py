@@ -42,11 +42,12 @@ which only `projector` chooses: C2, eh, then spin inversion of character
 (-1)^S where an integer total spin S is asked of a 2M_S = 0 sector.
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
-sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2,
-of one vector or of a block, is formed with it.  On fermions S+ is a sum of
-channel Kronecker products, (-1)^{N_up} sum_i c+_{i,up} ⊗ c_{i,dn}, built
-from the basis module's annihilators; on spins it is sqrt(sum_i R_i) of its
-raisers.
+sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2 is
+formed with it, by `spin_squared` (for `total_spin` and `classify`) or by
+the solver's one spin step, `solver.sharpen_spin`, once per call.  On
+fermions S+ is a sum of channel Kronecker products, (-1)^{N_up} sum_i
+c+_{i,up} ⊗ c_{i,dn}, built from the basis module's annihilators; on spins
+it is sqrt(sum_i R_i) of its raisers.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -156,3 +157,22 @@ def test_verify_tol_must_be_positive_finite(solved, capsys, value):
     path, *_ = solved
     assert main(["verify", str(path), "--tol", value]) == 2
     assert f"--tol must be a positive finite number, got {float(value)!r}" in capsys.readouterr().err
+
+
+def test_zero_state_archive_is_refused(solved, capsys):
+    # an archive of no eigenpairs has nothing to verify: the writer refuses
+    # one, and the reader takes a hand-made one as unreadable
+    path, _, g, spec, sector = solved
+    empty = EigenSet(values=np.empty(0), vectors=np.empty((36, 0)), residuals=np.empty(0))
+    with pytest.raises(ArchiveError, match="'shape' must be two positive integers"):
+        write_archive(path.with_name("empty.edarch"), empty, g, spec, sector, tol=1e-10, seed=1)
+    header = read_header(path)
+    header.update(shape=[0, 36], payload_bytes=0, residuals=[], labels=None,
+                  checksum_blake2b64=hashlib.blake2b(b"", digest_size=8).hexdigest())
+    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    path.write_bytes(f"EDKITARCHIVE1 {len(blob):016d}\n".encode("ascii") + blob)
+    with pytest.raises(ArchiveError, match="shape"):
+        read_archive(path)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "unreadable archive" in captured.err and "PASS" not in captured.out

@@ -645,6 +645,40 @@ def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
     assert "out of memory" in capsys.readouterr().err
 
 
+def test_oversized_chain_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a chain's n x n distances are built with it: 200,000 sites ask for
+    # 894 GiB, so the site limit is checked on n_sites first
+    import edkit.config
+
+    def never(*args, **kwargs):
+        raise AssertionError("the chain was built before its site count was checked")
+
+    monkeypatch.setattr(edkit.config, "build_chain", never)
+    text = SOLVE_CFG.format(out=tmp_path / "out").replace("n_sites = 2", "n_sites = 65")
+    text = text.replace("n_electrons = 2", "n_electrons = 65")
+    assert main(["run", str(_write(tmp_path, "chain.cfg", text))]) == 2
+    assert "65 sites exceed the 64-site limit of fermion models" in capsys.readouterr().err
+
+
+def test_geometry_file_out_of_memory_exit_3(tmp_path, capsys, monkeypatch):
+    # a geometry file's sites are only counted once it is read, and reading
+    # it builds their distances
+    import edkit.config
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(edkit.config, "load_geometry", exhausted)
+    geom = _write(tmp_path, "chain.geom", "# chain\nsites 2\n1 0 0 0\n2 1.397 0 0\nbonds 1\n1 2\n")
+    text = SOLVE_CFG.format(out=tmp_path / "out").replace(
+        "kind = chain\nn_sites = 2\n", f"kind = file\npath = {geom}\n"
+    )
+    assert main(["run", str(_write(tmp_path, "file.cfg", text))]) == 3
+    captured = capsys.readouterr()
+    assert "out of memory" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 HUB4_CFG = """\
 [run]
 task = {task}

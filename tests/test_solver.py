@@ -740,3 +740,59 @@ def test_eight_site_1bu_plus_k3_converges(seed):
     eig = lowest_in_label(h, parse_label("1_Bu+"), k=3, tol=1e-10, seed=seed)
     assert np.abs(eig.values - [-3.09268827, -2.46350634, -1.83284784]).max() < 1e-8
     assert np.all(eig.residuals <= 1e-10)
+
+
+def test_block_solves_call_sharpen_spin_through_the_module(monkeypatch):
+    # the benchmark's `solver.sharpen` span wraps the module attribute, so
+    # both block solves must look `sharpen_spin` up there when they call it
+    import edkit.solver
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("spin"))
+        return sharpen_spin(*args, **kwargs)
+
+    monkeypatch.setattr(edkit.solver, "sharpen_spin", spy)
+    h = build_model(build_chain(6), HUBBARD, Sector(6, 0))
+    dense_subspace_spectrum(h, 1, 1, spin=0.0)
+    assert calls == [0.0]
+    lowest_in_label(h, parse_label("1_Bu-"), k=1)
+    assert len(calls) > 1 and calls[1:] == [0.0] * (len(calls) - 1)
+
+
+def test_spin_step_builds_raising_operator_once(monkeypatch):
+    # one spin step: S+ is built once per call and its images give both the
+    # manifold rotations and every state's <S^2>
+    import edkit.solver
+    import edkit.symmetry
+
+    builds = []
+
+    def counted(basis):
+        builds.append(basis.dim)
+        return raising_operator(basis)
+
+    monkeypatch.setattr(edkit.symmetry, "raising_operator", counted)
+    monkeypatch.setattr(edkit.solver, "raising_operator", counted)
+    ico = build_icosahedron(1.397)
+    h = build_model(ico, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0))
+    eig = dense_subspace_spectrum(h, 1, None, spin=0.0)
+    assert max(m.multiplicity for m in group_degenerate(eig)) > 1
+    assert len(builds) == 1
+    # at U = 0 the 1_Bu+ block's draws complete degenerate manifolds
+    builds.clear()
+    h = build_model(build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=0.0), Sector(6, 0))
+    draws = _two_pass_calls(monkeypatch)
+    lowest_in_label(h, parse_label("1_Bu+"), k=3)
+    assert 0 < len(builds) <= len(draws)
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError)
+def test_deflated_stream_reaches_state_98_of_five_site_sector():
+    # the 5-site N = 5, 2M_S = 1 sector (dim 100) stalls at state 82 with a
+    # best residual of 1.2e-10, just above tol, though the Ritz vector is
+    # projected off the found states
+    h = build_model(build_chain(5), HUBBARD, Sector(5, 1))
+    eig = lanczos_lowest(h, k=98)
+    assert np.abs(eig.values - dense_spectrum(h).values[:98]).max() <= 1e-9
