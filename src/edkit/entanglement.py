@@ -17,6 +17,21 @@ transposed to [(u_l, d_l), (K, u_r, d_r)], times its cross sign.  One pass
 over the blocks serves every manifold among the K columns: the M of the
 manifold [i, j) is the column slice [i, j) of the block's middle axis.
 
+Singular values come from two LAPACK builds, chosen by the size of M
+alone.  The M of the ranges of one g in one block, if it has at most
+SVD_STACK_MAX entries, are stacked and go to NumPy's `np.linalg.svd`, split
+across the row-block pool of `hamiltonian._in_blocks` (one chunk per
+worker): NumPy's gufunc releases the GIL, while SciPy's f2py wrapper holds
+it, so SciPy's calls run one at a time.  A larger M stays on SciPy's dgesdd,
+`_singular_values`, which OpenBLAS threads itself.  Per n x n matrix over
+three sweeps (2 cores, 2 OpenBLAS threads), SciPy's loop against the pooled
+stack: n = 10, 10.5-11.7 and 3.7-4.3 us; 36, 60-66 and 30-32 us; 64,
+195-198 and 96-128 us; 72, 240-249 and 123-163 us; 80, 269-305 and
+309-320 us; 100, 691-826 and 643-1247 us.  The stack wins through 72 x 72
+and loses from 80 x 80 on (at 1 OpenBLAS thread too), so SVD_STACK_MAX is
+4,096 entries (64 x 64).  The two builds gave the same bits on every shape
+tried (9,460 matrices up to 100 x 400).
+
 Entropies are summed left to right, -w log2 w over a block's weights and
 then the blocks in index order, so a spectrum's `total_entropy` and the
 entropy `_manifold_entropies` gives its manifold in a whole spectrum agree
@@ -34,6 +49,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgesdd, dgesdd_lwork
 from scipy.special import xlogy
 
+from . import hamiltonian
 from .basis import BasisTable, BipartiteBlock, BipartiteIndex, Sector, bipartite_factorize
 from .lattice import Bipartition, Geometry
 from .solver import DegenerateManifold
@@ -53,6 +69,7 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-16
+SVD_STACK_MAX = 4096  # entries of the largest M stacked for NumPy's SVD
 
 
 class EntanglementError(ValueError):
@@ -166,10 +183,10 @@ def _coefficient_blocks(
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Descending singular values from LAPACK dgesdd with the optimal
-    workspace, as `scipy.linalg.svd` computes them.  SciPy's LAPACK, not
-    NumPy's: the two bundle separate OpenBLAS builds, and one pool's
-    threads stall on the other's while those still spin."""
+    """Descending singular values from SciPy's LAPACK dgesdd with the optimal
+    workspace, as `scipy.linalg.svd` computes them: the kernel for an M of
+    more than SVD_STACK_MAX entries, which OpenBLAS threads itself; NumPy's
+    stacked SVD on the pool was slower there (module docstring)."""
     lwork = int(dgesdd_lwork(*a.shape, compute_uv=0, full_matrices=0)[0])
     _, sigma, _, info = dgesdd(a, compute_uv=0, full_matrices=0, lwork=lwork)
     if info:
@@ -187,7 +204,9 @@ def _weight_rows(
     eigenvalues of the RDM averaged over the orthonormal columns [i, j) =
     ranges[r] of `vectors`: the squared singular values of that manifold's M
     over g = j - i, descending, zero below WEIGHT_FLOOR and zero-padded on
-    the right.  The vectors are permuted once for all ranges."""
+    the right.  The vectors are permuted once for all ranges; the M of the
+    ranges of one g are stacked and split across the row-block pool, each
+    chunk writing its own rows of W."""
     if vectors.shape[0] != basis.dim:
         raise EntanglementError(
             f"vector length {vectors.shape[0]} does not match the basis dimension {basis.dim}"
@@ -198,13 +217,28 @@ def _weight_rows(
         raise EntanglementError(f"input vector is not normalized (|v| = {float(norms[bad][0])!r})")
     index = _resolve_index(basis, cut)
     widest = max((j - i for i, j in ranges), default=0)
+    by_width: dict[int, list[int]] = {}
+    for r, (i, j) in enumerate(ranges):
+        by_width.setdefault(j - i, []).append(r)
     for block, m in _coefficient_blocks(vectors, index):
         left, right = block.left_dim, block.right_dim
         m = m.reshape(left, vectors.shape[1], right)
         w = np.zeros((len(ranges), min(left, widest * right)))
-        for r, (i, j) in enumerate(ranges):
-            sigma = _singular_values(m[:, i:j].reshape(left, -1))
-            w[r, : len(sigma)] = sigma * sigma / (j - i)
+        for g, rows in by_width.items():
+            if left * g * right > SVD_STACK_MAX:
+                for r in rows:
+                    i, j = ranges[r]
+                    sigma = _singular_values(m[:, i:j].reshape(left, -1))
+                    w[r, : len(sigma)] = sigma * sigma / g
+                continue
+            columns = np.array([ranges[r][0] for r in rows])[:, None] + np.arange(g)
+
+            def chunk(a: int, b: int) -> None:
+                stack = m[:, columns[a:b]].reshape(left, b - a, g * right).transpose(1, 0, 2)
+                sigma = np.linalg.svd(stack, compute_uv=False)
+                w[rows[a:b], : sigma.shape[1]] = sigma * sigma / g
+
+            hamiltonian._in_blocks(chunk, len(rows), -(-len(rows) // hamiltonian._workers()))
         w[w < WEIGHT_FLOOR] = 0.0
         yield block, w
 

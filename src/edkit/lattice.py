@@ -86,8 +86,8 @@ class Geometry:
         for i, j in self.bonds:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise GeometryError(f"bond ({i},{j}) references a site outside 1..{n}")
-        d = self.distance_matrix
-        if n > 1 and np.min(d[np.triu_indices(n, k=1)]) <= 0.0:
+        rows = coords[np.lexsort(coords.T[::-1])]  # equal rows end up side by side
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise GeometryError("two sites coincide (r_ij = 0 for i != j)")
         if self.c2_perm is not None:
             perm = tuple(int(p) for p in self.c2_perm)
@@ -193,11 +193,11 @@ def _permutation_from_rotation(coords: np.ndarray, axis: np.ndarray) -> tuple[in
     return tuple(perm)
 
 
-def _is_symmetry_perm(coords: np.ndarray, bonds: tuple[tuple[int, int], ...],
+def _is_symmetry_perm(d: np.ndarray, bonds: tuple[tuple[int, int], ...],
                       perm: Sequence[int]) -> bool:
-    """True if `perm` preserves all pairwise distances and the bond set."""
+    """True if `perm` preserves the pairwise distances `d` (`_pair_distances`
+    of the coordinates) and the bond set."""
     idx = np.asarray(perm, dtype=int) - 1
-    d = _pair_distances(coords)
     if not np.allclose(d[np.ix_(idx, idx)], d, rtol=0.0, atol=1e-8 * max(1.0, d.max())):
         return False
     mapped = {(min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in bonds}
@@ -218,7 +218,7 @@ def build_icosahedron(edge_length: float = 1.397) -> Geometry:
     bonds = _min_distance_pairs(coords)
     axis = 0.5 * (coords[0] + coords[1])
     perm = _permutation_from_rotation(coords, axis)
-    if perm is None or not _is_symmetry_perm(coords, bonds, perm):
+    if perm is None or not _is_symmetry_perm(_pair_distances(coords), bonds, perm):
         raise GeometryError("internal error: icosahedron C2 axis construction failed")
     return Geometry(name="icosahedron", coords=coords, bonds=bonds, c2_perm=perm)
 
@@ -226,7 +226,8 @@ def build_icosahedron(edge_length: float = 1.397) -> Geometry:
 def _detect_c2(coords: np.ndarray, bonds: tuple[tuple[int, int], ...]) -> tuple[int, ...] | None:
     n = coords.shape[0]
     reversal = tuple(range(n, 0, -1))
-    if _is_symmetry_perm(coords, bonds, reversal):
+    d = _pair_distances(coords)
+    if _is_symmetry_perm(d, bonds, reversal):
         return reversal
     centered = coords - coords.mean(axis=0)
     scale = max(1.0, float(np.abs(centered).max()))
@@ -236,7 +237,7 @@ def _detect_c2(coords: np.ndarray, bonds: tuple[tuple[int, int], ...]) -> tuple[
             continue
         perm = _permutation_from_rotation(coords, axis)
         if perm is not None and any(perm[k] != k + 1 for k in range(n)):
-            if _is_symmetry_perm(coords, bonds, perm):
+            if _is_symmetry_perm(d, bonds, perm):
                 return perm
     return None
 

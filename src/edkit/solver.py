@@ -293,7 +293,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b by einsum, not BLAS: a threaded BLAS call leaves its OpenBLAS
     pool spinning, and NumPy's and SciPy's separate pools then stall each
     other's next call (on 2 cores, a 10-site Schmidt SVD right after a
-    labeled solve took 85 ms against 9 ms)."""
+    labeled solve took 85 ms against 9 ms; its 100 x 100 blocks are above
+    `entanglement.SVD_STACK_MAX` and still run on SciPy's dgesdd, and with
+    `np.dot` here it still took up to 72 ms)."""
     return float(np.einsum("i,i->", a, b))
 
 

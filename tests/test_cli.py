@@ -743,6 +743,15 @@ def test_geometry_site_count_exit_2(tmp_path, capsys, count):
     assert f"line 2: site count {count} must be in 1..4" in capsys.readouterr().err
 
 
+def test_geometry_emit_200000_site_chain_exit_0(tmp_path, capsys):
+    out = tmp_path / "chain.geom"
+    assert main(["geometry", "emit", "chain", "--n-sites", "200000", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == ["# chain-200000", "sites 200000", "1 0 0 0"]
+    assert lines[-1] == "199999 200000" and len(lines) == 3 + 200000 + 199999
+
+
 def test_geometry_emit_memory_error_exit_3(capsys, monkeypatch):
     import edkit.cli as cli
 

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_block_reorder_sign, brute_fock_rdm, per_state_factors
+from edkit import hamiltonian
 from edkit.analysis import entropy_profile, subspace_spectrum
 from edkit.basis import Sector, bipartite_factorize, enumerate_sector
 from edkit.entanglement import (
+    SVD_STACK_MAX,
     DegenerateFermiLevelError,
     EntanglementError,
     _manifold_entropies,
@@ -305,12 +307,15 @@ def test_entropy_bits_handles_zeros():
     assert entropy_bits(np.array([0.5, 0.5])) == pytest.approx(1.0, abs=1e-14)
 
 
-# column ranges of sizes g = 1, 2, 3, 1, 3, 2, averaged in one batched call
-MIXED_RANGES = [(0, 1), (1, 3), (3, 6), (6, 7), (7, 10), (10, 12)]
+# column ranges of sizes g = 1, 2, 3, 1, 3, 2 and 52, averaged in one batched
+# call; the 52 columns put the widest cut blocks above SVD_STACK_MAX, so the
+# stacked and the per-matrix SVD both run
+MIXED_RANGES = [(0, 1), (1, 3), (3, 6), (6, 7), (7, 10), (10, 12), (12, 64)]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ["hubbard6 sector", "icosahedron C2+ S=0 block"])
-def test_batched_manifolds_match_fock_rdm_oracle(case):
+def test_batched_manifolds_match_fock_rdm_oracle(case, workers, monkeypatch):
     if case.startswith("hubbard6"):
         g = build_chain(6)
         h = build_model(g, ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
@@ -320,8 +325,14 @@ def test_batched_manifolds_match_fock_rdm_oracle(case):
         spec = ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5)
         eig, basis = subspace_spectrum(ico, spec, 0, 1, None, spin=0.0)
         vectors, cut = eig.vectors, half_cut(ico, 6)
+    monkeypatch.setattr(hamiltonian, "_workers", lambda: 1)
+    serial = _manifold_entropies(vectors, basis, cut, MIXED_RANGES)
+    monkeypatch.setattr(hamiltonian, "_workers", lambda: workers)
     rows = list(_weight_rows(vectors, basis, cut, MIXED_RANGES))
+    sizes = [b.left_dim * (j - i) * b.right_dim for b, _ in rows for i, j in MIXED_RANGES]
+    assert min(sizes) <= SVD_STACK_MAX < max(sizes)
     entropies = _manifold_entropies(vectors, basis, cut, MIXED_RANGES)
+    assert np.array_equal(entropies, serial)
     for r, (i, j) in enumerate(MIXED_RANGES):
         weights = np.sort(np.concatenate([w[r] for _, w in rows]))[::-1]
         rho = sum(brute_fock_rdm(vectors[:, c], basis, cut.left, cut.right) for c in range(i, j))

@@ -152,6 +152,24 @@ def test_geometry_invariants():
         Geometry(name="bad", coords=np.zeros((2, 3)), bonds=((1, 3),))
     with pytest.raises(GeometryError):  # coincident sites
         Geometry(name="bad", coords=np.zeros((2, 3)), bonds=())
+    coords = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [-0.0, 1.0, 0.0]])
+    with pytest.raises(GeometryError, match="two sites coincide"):  # sites 1 and 3, -0.0 = 0.0
+        Geometry(name="bad", coords=coords, bonds=())
+
+
+def test_chain_is_built_without_a_distance_matrix():
+    # the coincidence check holds O(n) memory; an n x n x 3 difference
+    # array would make build_chain(3000) peak at 481 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = build_chain(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert g.distance(1, 3000) == pytest.approx(2999 * 1.397)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
