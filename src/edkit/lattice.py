@@ -133,6 +133,8 @@ def build_chain(n_sites: int, bond_length: float = 1.397) -> Geometry:
         raise GeometryError(f"a chain needs at least 2 sites, got {n_sites}")
     if not 0 < bond_length < np.inf:
         raise GeometryError(f"bond_length must be positive and finite, got {bond_length}")
+    if float(bond_length) * (n_sites - 1) == np.inf:  # Python floats overflow without NumPy's warning
+        raise GeometryError(f"bond_length {bond_length} puts the chain's end beyond the float range")
     coords = np.zeros((n_sites, 3))
     coords[:, 0] = bond_length * np.arange(n_sites)
     bonds = tuple((i, i + 1) for i in range(1, n_sites))

@@ -24,16 +24,15 @@ Symmetry blocks have one path, `_symmetry_block`: the block of
 total spin S is asked of a 2M_S = 0 sector; a singlet block is about an
 eighth of the sector), its sparse orthonormal orbit basis Q, and Q^T H Q
 read off the rows of H at the orbit representatives, used as read.
-`dense_subspace_spectrum` diagonalizes that block densely;
-`lowest_in_label` takes each Lanczos state as the stream draws it, solved
-once, up to k + 40, lifts it with Q and checks its residual on the full H
-once, so its `matvecs` are the block products plus one check per drawn
-state.  Both end in one spin step, `sharpen_spin`: it builds the sparse S+
-of `symmetry.raising_operator` once, rotates each degenerate manifold to
-sharp S^2 from the Gram matrix of its images, reads <S^2> off the same
-images and keeps the states of one total spin; dense residuals come after
-it.  `lowest_in_label` takes the first k and checks them against the
-projector P itself, not Q: `P @ block` must leave every vector within 1e-8.
+`dense_subspace_spectrum` diagonalizes that block densely; `lowest_in_label`
+takes each Lanczos state as the stream draws it, up to k + 40, and lifts it
+with Q and checks it on the full H once.  Each builds the sparse S+ of
+`symmetry.raising_operator` once, raises each state once, and ends in one
+spin step on those images, `sharpen_spin`: it rotates each degenerate
+manifold to sharp S^2 from the Gram matrix of its images, reads <S^2> off
+them and keeps the states of one total spin; dense residuals come after it.
+`lowest_in_label` takes the first k and checks them against the projector P
+itself, not Q: `P @ block` must leave every vector within 1e-8.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from . import hamiltonian
 from .basis import BasisTable
 from .hamiltonian import SparseOperator
 from .symmetry import (
+    SPIN_TOL,
     Projector,
     SymmetryLabel,
     check_model_block,
@@ -222,7 +222,9 @@ def dense_subspace_spectrum(
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
     vals, y = sla.eigh(block.toarray())
-    eig = sharpen_spin(EigenSet(vals, q @ y, np.zeros(m)), operator.basis, spin)  # signs each column once
+    found = EigenSet(vals, q @ y, np.zeros(m))
+    eig = sharpen_spin(found, raising_operator(operator.basis) @ found.vectors, operator.basis, spin)
+    del found  # not held through the residuals
     if not eig.k:
         raise SolverError(f"no states of total spin {spin} in the {name} symmetry subspace")
     eig.residuals = np.linalg.norm(operator.matrix @ eig.vectors - eig.vectors * eig.values[None, :], axis=0)
@@ -423,32 +425,29 @@ def group_degenerate(eigenset: EigenSet) -> list[DegenerateManifold]:
     ]
 
 
-def sharpen_spin(eigenset: EigenSet, basis: BasisTable, spin: float | None = None) -> EigenSet:
+def sharpen_spin(
+    eigenset: EigenSet, images: np.ndarray, basis: BasisTable, spin: float | None = None
+) -> EigenSet:
     """Rotate each degenerate manifold so that every vector has sharp S^2,
     and with `spin` given keep only the states of that total spin.
 
-    The S^2 matrix elements within a manifold follow from the raised images,
-    <v_i| S^2 |v_j> = M(M+1) delta_ij + <S+ v_i | S+ v_j>, so a rotated
-    state's <S^2> is a Gram eigenvalue and a lone state's M(M+1) + |S+ v|^2;
-    S+ is built once, and only where a manifold or `spin` needs it.
+    `images` is S+ of the columns, raised once by the caller.  Within a
+    manifold <v_i| S^2 |v_j> = M(M+1) delta_ij + <S+ v_i | S+ v_j>, so a
+    rotated state's <S^2> is a Gram eigenvalue and a lone state's
+    M(M+1) + |S+ v|^2.
     """
     m = basis.sector.twice_ms / 2.0
-    ranges = list(_degenerate_ranges(eigenset.values))
-    lone = [i for i, j in ranges if j - i == 1]
-    raising = raising_operator(basis) if spin is not None or len(lone) < len(ranges) else None
-    vectors, s2 = eigenset.vectors.copy(), np.empty(eigenset.k)
-    for i, j in ranges:
+    s2 = m * (m + 1.0) + np.einsum("ij,ij->j", images, images)
+    vectors = eigenset.vectors.copy()
+    for i, j in _degenerate_ranges(eigenset.values):
         if j - i > 1:
-            block = vectors[:, i:j]
-            images = raising @ block
-            s2[i:j], rot = sla.eigh(m * (m + 1.0) * np.eye(j - i) + images.T @ images)
-            vectors[:, i:j] = block @ rot
+            gram = images[:, i:j].T @ images[:, i:j]
+            s2[i:j], rot = sla.eigh(m * (m + 1.0) * np.eye(j - i) + gram)
+            vectors[:, i:j] = vectors[:, i:j] @ rot
+    del images  # the caller's temporary, freed before the kept columns are copied
     keep = range(eigenset.k)
     if spin is not None:
-        images = raising @ vectors  # all columns: a subset would be copied, then copied again in C order
-        s2[lone] = m * (m + 1.0) + np.einsum("ij,ij->j", images, images)[lone]
-        del images  # freed before the kept columns are copied
-        keep = np.flatnonzero(np.abs(s2 - spin * (spin + 1.0)) <= 1e-6)  # total_spin's tolerance
+        keep = np.flatnonzero(np.abs(s2 - spin * (spin + 1.0)) <= SPIN_TOL)
         vectors = vectors[:, keep]
     return EigenSet(
         values=eigenset.values[keep],
@@ -473,8 +472,9 @@ def lowest_in_label(
     sector must be the label's highest-weight sector (2M_S = 2S).  The
     block's states are taken in the order the stream draws them, each solved
     once, up to k + 40, until k of them carry the label's total spin.  Each
-    drawn state is lifted and its residual checked on the full H once;
-    `matvecs` counts the block products and one check per drawn state.
+    drawn state is lifted, checked on the full H and raised by S+ once; only
+    the states drawn so far are held, and the spin step reruns on them after
+    each draw.  `matvecs` counts the block products and one check per state.
     """
     if k < 1:
         raise SolverError(f"k must be at least 1, got {k}")
@@ -487,13 +487,13 @@ def lowest_in_label(
     proj, q, block = _symmetry_block(
         operator, label.c2_parity, label.eh_parity, label.total_spin, format_label(label)
     )
-    n = min(q.shape[1], k + 40)
-    vecs, vals, res = np.empty((q.shape[0], n), order="F"), np.empty(n), np.empty(n)
-    stream = _lowest_states(block, n, tol, seed)
-    for i, (_, drawn, _, matvecs) in enumerate(stream):  # column i is the state drawn last
+    n, raising, states = min(q.shape[1], k + 40), raising_operator(basis), []
+    for i, (_, drawn, _, matvecs) in enumerate(_lowest_states(block, n, tol, seed)):  # column i: drawn last
         new = _checked_eigenset(operator.matrix, _canonical_sign(q @ drawn[:, i:i + 1]), tol)
-        vecs[:, i], vals[i], res[i] = new.vectors[:, 0], new.values[0], new.residuals[0]
-        eig = sharpen_spin(EigenSet(vals[:i + 1], vecs[:, :i + 1], res[:i + 1]), basis, label.total_spin)
+        states.append((new.values[0], new.vectors, new.residuals[0], raising @ new.vectors))
+        states.sort(key=lambda state: state[0])  # stable, as EigenSet sorts
+        vals, vecs, res, images = zip(*states)
+        eig = sharpen_spin(EigenSet(vals, np.hstack(vecs), res), np.hstack(images), basis, label.total_spin)
         if eig.k >= k:
             break
     else:

@@ -44,10 +44,11 @@ which only `projector` chooses: C2, eh, then spin inversion of character
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
 sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2 is
 formed with it, by `spin_squared` (for `total_spin` and `classify`) or by
-the solver's one spin step, `solver.sharpen_spin`, once per call.  On
-fermions S+ is a sum of channel Kronecker products, (-1)^{N_up} sum_i
-c+_{i,up} ⊗ c_{i,dn}, built from the basis module's annihilators; on spins
-it is sqrt(sum_i R_i) of its raisers.
+the solver's one spin step, `solver.sharpen_spin`, on the images its block
+solve raised (S+ is built once per block solve).  On fermions S+ is a sum
+of channel Kronecker products, (-1)^{N_up} sum_i c+_{i,up} ⊗ c_{i,dn},
+built from the basis module's annihilators; on spins it is sqrt(sum_i R_i)
+of its raisers.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ from .basis import (
     _spin_codes,
 )
 from .lattice import Geometry
+
+SPIN_TOL = 1e-6  # |<S^2> - S(S+1)| of a state of sharp total spin S
 
 __all__ = [
     "SymmetryLabel",
@@ -386,9 +389,9 @@ def spin_squared(vectors: np.ndarray, basis: BasisTable) -> float | np.ndarray:
     return float(s2) if vectors.ndim == 1 else s2
 
 
-def total_spin(vector: np.ndarray, basis: BasisTable, tol: float = 1e-6) -> float:
+def total_spin(vector: np.ndarray, basis: BasisTable) -> float:
     """Total spin S with <S^2> = S(S+1); raises MixedSpinError otherwise."""
-    return _spin_of(spin_squared(vector, basis), basis.sector.twice_ms, tol)
+    return _spin_of(spin_squared(vector, basis), basis.sector.twice_ms)
 
 
 def spin_occurs(twice_s: int, twice_ms: int) -> bool:
@@ -396,29 +399,24 @@ def spin_occurs(twice_s: int, twice_ms: int) -> bool:
     return abs(twice_ms) <= twice_s and (twice_s - twice_ms) % 2 == 0
 
 
-def _spin_of(s2: float, twice_ms: int, tol: float = 1e-6) -> float:
-    """The S, compatible with 2M_S, whose S(S+1) lies within tol of <S^2>."""
+def _spin_of(s2: float, twice_ms: int) -> float:
+    """The S, compatible with 2M_S, whose S(S+1) lies within SPIN_TOL of <S^2>."""
     twice_s = round(sqrt(1.0 + 4.0 * max(s2, 0.0)) - 1.0)
     s = twice_s / 2.0
-    if not spin_occurs(twice_s, twice_ms) or abs(s2 - s * (s + 1.0)) > tol:
+    if not spin_occurs(twice_s, twice_ms) or abs(s2 - s * (s + 1.0)) > SPIN_TOL:
         raise MixedSpinError(
-            f"<S^2> = {s2:.8f} is not within {tol} of any S(S+1) compatible with 2M_S = {twice_ms}"
+            f"<S^2> = {s2:.8f} is not within {SPIN_TOL} of any S(S+1) compatible with 2M_S = {twice_ms}"
         )
     return s
 
 
-def classify(
-    vector: np.ndarray,
-    basis: BasisTable,
-    geometry: Geometry,
-    tol: float = 1e-6,
-) -> SymmetryLabel:
-    """Label an eigenstate by C2/eh expectation values and total spin."""
+def classify(vector: np.ndarray, basis: BasisTable, geometry: Geometry) -> SymmetryLabel:
+    """Label an eigenstate by C2/eh expectation values and total spin, within SPIN_TOL."""
     v = np.asarray(vector, dtype=float)
     c2_exp = float(v @ (c2_operator(basis, geometry) @ v))
     eh_exp = float(v @ (eh_operator(basis, geometry) @ v))
     for name, val in (("C2", c2_exp), ("electron-hole", eh_exp)):
-        if abs(abs(val) - 1.0) > tol:
+        if abs(abs(val) - 1.0) > SPIN_TOL:
             raise SymmetryError(f"state is not a {name} eigenstate (<P> = {val:.6f})")
     return SymmetryLabel(
         c2_parity=1 if c2_exp > 0 else -1,

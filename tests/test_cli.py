@@ -434,6 +434,19 @@ def test_geometry_emit_non_finite_exit_2(capsys, value):
     assert f"bond_length must be positive and finite, got {value}" in captured.err
 
 
+def test_overflowing_chain_exit_2(tmp_path, capsys):
+    # 3 sites 1e308 apart end at 2e308: refused with no overflow warning
+    message = "bond_length 1e+308 puts the chain's end beyond the float range"
+    assert main(["geometry", "emit", "chain", "--n-sites", "3", "--bond-length", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Warning" not in captured.err and message in captured.err
+    text = SOLVE_CFG.format(out=tmp_path / "out").replace("n_sites = 2", "n_sites = 3")
+    text = text.replace("bond_length = 1.0", "bond_length = 1e308")
+    assert main(["run", str(_write(tmp_path, "far.cfg", text))]) == 2
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err and f"config error: {message}" in captured.err
+
+
 def test_tables_multiplets_negative_sites_exit_2(capsys):
     assert main(["tables", "multiplets", "-1"]) == 2
     captured = capsys.readouterr()

@@ -40,6 +40,10 @@ def test_chain_rejects_small_and_bad_length():
         build_chain(1)
     with pytest.raises(GeometryError):
         build_chain(4, 0.0)
+    # the end at 2e308 overflows: refused before NumPy's multiply warns
+    with pytest.raises(GeometryError, match=r"bond_length 1e\+308 puts the chain's end beyond the float"):
+        build_chain(3, 1e308)
+    assert build_chain(2, 1e308).coords[1, 0] == 1e308
 
 
 def test_icosahedron_combinatorics():

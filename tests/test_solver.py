@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -472,14 +473,15 @@ def test_sharpen_spin_separates_mixed_manifold():
     mixed = EigenSet(
         values=eig.values.copy(), vectors=eig.vectors @ rot, residuals=eig.residuals.copy()
     )
-    sharp = sharpen_spin(mixed, h.basis)
+    sharp = sharpen_spin(mixed, raising_operator(h.basis) @ mixed.vectors, h.basis)
     spins = sorted(total_spin(sharp.vectors[:, i], h.basis) for i in range(2))
     assert spins == [0.0, 1.0]
 
 
 def test_sharpen_spin_holds_one_copy_of_the_block():
     # the 6-site 1_Ag+ block has no degenerate manifold, so sharpening only
-    # copies the vectors once (the input is never mutated) and fixes signs
+    # copies the vectors once (the input is never mutated) and fixes signs;
+    # the S+ images come from the caller
     import tracemalloc
 
     g = build_chain(6)
@@ -489,9 +491,10 @@ def test_sharpen_spin_holds_one_copy_of_the_block():
     eig = EigenSet(values=vals, vectors=q @ y, residuals=np.zeros(len(vals)))
     assert [m.multiplicity for m in group_degenerate(eig)] == [1] * eig.k
     before = eig.vectors.copy()
+    images = raising_operator(h.basis) @ eig.vectors
     tracemalloc.start()
     try:
-        sharp = sharpen_spin(eig, h.basis)
+        sharp = sharpen_spin(eig, images, h.basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,12 +723,29 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("n, spec, text, k", BLOCK_CASES)
-def test_labeled_solve_is_the_head_of_its_dense_block(n, spec, text, k):
+def test_labeled_solve_is_the_head_of_its_dense_block(n, spec, text, k, monkeypatch):
     # both block solves end in the same sharpen-and-select step: the k
-    # labeled states are the first k of the dense block at the label's spin
+    # labeled states are the first k of the dense block at the label's spin,
+    # and, bit for bit, those of one spin step over every state drawn
+    import edkit.solver
+
     label = parse_label(text)
     h = build_model(build_chain(n, 1.397), spec, Sector(n, label.twice_ms_highest))
+    drawn, check = [], edkit.solver._checked_eigenset
+
+    def spy(mat, vecs, tol):
+        new = check(mat, vecs, tol)
+        if mat is h.matrix:
+            drawn.append(new)
+        return new
+
+    monkeypatch.setattr(edkit.solver, "_checked_eigenset", spy)
     eig = lowest_in_label(h, label, k=k, tol=1e-10)
+    fields = ("values", "vectors", "residuals")
+    found = EigenSet(*(np.hstack([getattr(d, f) for d in drawn]) for f in fields))
+    once = sharpen_spin(found, raising_operator(h.basis) @ found.vectors, h.basis, label.total_spin)
+    for f in fields:
+        assert getattr(eig, f).tobytes() == getattr(once, f)[..., :k].tobytes()
     dense = dense_subspace_spectrum(h, label.c2_parity, label.eh_parity, spin=label.total_spin)
     assert np.abs(eig.values - dense.values[:k]).max() < 1e-9
     assert np.abs(eig.vectors.T @ eig.vectors - np.eye(k)).max() < 1e-9
@@ -750,7 +770,7 @@ def test_block_solves_call_sharpen_spin_through_the_module(monkeypatch):
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("spin"))
+        calls.append(inspect.signature(sharpen_spin).bind(*args, **kwargs).arguments["spin"])
         return sharpen_spin(*args, **kwargs)
 
     monkeypatch.setattr(edkit.solver, "sharpen_spin", spy)
@@ -761,17 +781,30 @@ def test_block_solves_call_sharpen_spin_through_the_module(monkeypatch):
     assert len(calls) > 1 and calls[1:] == [0.0] * (len(calls) - 1)
 
 
+class _CountingRaiser:
+    """S+ that records how many columns each product raises."""
+
+    def __init__(self, basis, columns: list) -> None:
+        self.matrix, self.columns = raising_operator(basis), columns
+
+    def __matmul__(self, x):
+        self.columns.append(1 if x.ndim == 1 else x.shape[1])
+        return self.matrix @ x
+
+
 def test_spin_step_builds_raising_operator_once(monkeypatch):
-    # one spin step: S+ is built once per call and its images give both the
-    # manifold rotations and every state's <S^2>
+    # S+ is built once per block solve, by the solve, and raises each column
+    # once: a dense block all of its columns in one product, a labeled solve
+    # each state as it is drawn; the images give both the manifold rotations
+    # and every state's <S^2>
     import edkit.solver
     import edkit.symmetry
 
-    builds = []
+    builds, columns = [], []
 
     def counted(basis):
         builds.append(basis.dim)
-        return raising_operator(basis)
+        return _CountingRaiser(basis, columns)
 
     monkeypatch.setattr(edkit.symmetry, "raising_operator", counted)
     monkeypatch.setattr(edkit.solver, "raising_operator", counted)
@@ -779,13 +812,29 @@ def test_spin_step_builds_raising_operator_once(monkeypatch):
     h = build_model(ico, ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0))
     eig = dense_subspace_spectrum(h, 1, None, spin=0.0)
     assert max(m.multiplicity for m in group_degenerate(eig)) > 1
-    assert len(builds) == 1
+    assert len(builds) == 1 and columns == [projector(h.basis, ico, 1, None, 0.0).orbit_basis().shape[1]]
     # at U = 0 the 1_Bu+ block's draws complete degenerate manifolds
     builds.clear()
+    columns.clear()
     h = build_model(build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=0.0), Sector(6, 0))
     draws = _two_pass_calls(monkeypatch)
     lowest_in_label(h, parse_label("1_Bu+"), k=3)
-    assert 0 < len(builds) <= len(draws)
+    assert len(draws) > 3 and len(builds) == 1 and columns == [1] * len(draws)
+
+
+def test_labeled_solve_holds_only_its_drawn_states():
+    # the 10-site 1_Ag+ draws one state of a 63,504-state sector, so the
+    # solve holds one lifted column; a (dim, k + 40) buffer is 19.9 MiB
+    import tracemalloc
+
+    h = build_model(build_chain(10), HUBBARD, Sector(10, 0))
+    tracemalloc.start()
+    try:
+        eig = lowest_in_label(h, parse_label("1_Ag+"), k=1, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eig.k == 1 and peak < 24 * 2**20
 
 
 @pytest.mark.xfail(strict=True, raises=NonConvergenceError)

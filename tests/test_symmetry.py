@@ -365,7 +365,8 @@ def test_spin_flip_parity_is_minus_one_to_the_s(n, spec, sector):
     # the sector sign makes singlets even: every sharpened eigenstate has
     # flip parity (-1)^S (spin chains with n s odd take the sign -1)
     h = build_model(build_chain(n, 1.397), spec, sector)
-    eig = sharpen_spin(dense_spectrum(h), h.basis)
+    eig = dense_spectrum(h)
+    eig = sharpen_spin(eig, raising_operator(h.basis) @ eig.vectors, h.basis)
     flip = spin_flip_operator(h.basis)
     parity = np.einsum("ij,ij->j", eig.vectors, flip @ eig.vectors)
     spins = [total_spin(eig.vectors[:, i], h.basis) for i in range(eig.k)]
@@ -497,18 +498,18 @@ def test_classify_six_site_ppp_ground_state():
 
 @pytest.mark.parametrize("twice_ms", range(-4, 5))
 def test_spin_of_boundaries(twice_ms):
+    from edkit.symmetry import SPIN_TOL as tol
     from edkit.symmetry import _spin_of
 
-    tol = 1e-6
     for twice_s in range(11):
         s = twice_s / 2
         s2 = s * (s + 1)
         if (twice_s - twice_ms) % 2 or twice_s < abs(twice_ms):
             with pytest.raises(MixedSpinError):
-                _spin_of(s2, twice_ms, tol)
+                _spin_of(s2, twice_ms)
             continue
         for d in (0.9 * tol, -0.9 * tol):
-            assert _spin_of(s2 + d, twice_ms, tol) == s
+            assert _spin_of(s2 + d, twice_ms) == s
         for d in (1.1 * tol, -1.1 * tol):
             with pytest.raises(MixedSpinError):
-                _spin_of(s2 + d, twice_ms, tol)
+                _spin_of(s2 + d, twice_ms)
