@@ -10,27 +10,30 @@ density matrix is formed, which keeps eigenvalues accurate down to the
 1e-16 floor.  All entropies are in bits.
 
 The coefficient matrices come from the channel layouts of the basis module,
-with no per-state index: the vectors are permuted once into the sorted
-(n_up, n_dn, K) layout (spins: (dim, K)) and signed by the gather parities;
-each block is then a slice, reshaped to [u_l, u_r, d_l, d_r, K] and
-transposed to [(u_l, d_l), (K, u_r, d_r)], times its cross sign.  One pass
-over the blocks serves every manifold among the K columns: the M of the
-manifold [i, j) is the column slice [i, j) of the block's middle axis.
+with no per-state index: the K vectors of a call are permuted into the
+sorted (n_up, n_dn, K) layout (spins: (dim, K)) and signed by the gather
+parities; each block is then a slice, reshaped to [u_l, u_r, d_l, d_r, K]
+and transposed to [(u_l, d_l), (K, u_r, d_r)], times its cross sign.  One
+pass over the blocks serves every manifold among the K columns: the M of
+the manifold [i, j) is the column slice [i, j) of the block's middle axis.
+A whole spectrum is taken in the column chunks of `solver._column_chunks`,
+whole manifolds each, so only a chunk of its columns is ever permuted; the
+chunks are split across the row-block pool of `hamiltonian._in_blocks`, and
+each writes only the entropies of its own manifolds.
 
 Singular values come from two LAPACK builds, chosen by the size of M
 alone.  The M of the ranges of one g in one block, if it has at most
-SVD_STACK_MAX entries, are stacked and go to NumPy's `np.linalg.svd`, split
-across the row-block pool of `hamiltonian._in_blocks` (one chunk per
-worker): NumPy's gufunc releases the GIL, while SciPy's f2py wrapper holds
-it, so SciPy's calls run one at a time.  A larger M stays on SciPy's dgesdd,
-`_singular_values`, which OpenBLAS threads itself.  Per n x n matrix over
-three sweeps (2 cores, 2 OpenBLAS threads), SciPy's loop against the pooled
-stack: n = 10, 10.5-11.7 and 3.7-4.3 us; 36, 60-66 and 30-32 us; 64,
-195-198 and 96-128 us; 72, 240-249 and 123-163 us; 80, 269-305 and
-309-320 us; 100, 691-826 and 643-1247 us.  The stack wins through 72 x 72
-and loses from 80 x 80 on (at 1 OpenBLAS thread too), so SVD_STACK_MAX is
-4,096 entries (64 x 64).  The two builds gave the same bits on every shape
-tried (9,460 matrices up to 100 x 400).
+SVD_STACK_MAX entries, are stacked and go to NumPy's `np.linalg.svd`, whose
+gufunc releases the GIL, so the chunks on the pool run it side by side;
+SciPy's f2py wrapper holds it, so SciPy's calls run one at a time.  A larger
+M stays on SciPy's dgesdd, `_singular_values`, which OpenBLAS threads
+itself.  Per n x n matrix over three sweeps (2 cores, 2 OpenBLAS threads),
+SciPy's loop against a stack split across the pool: n = 10, 10.5-11.7 and
+3.7-4.3 us; 36, 60-66 and 30-32 us; 64, 195-198 and 96-128 us; 72, 240-249
+and 123-163 us; 80, 269-305 and 309-320 us; 100, 691-826 and 643-1247 us.
+The stack wins through 72 x 72 and loses from 80 x 80 on (at 1 OpenBLAS
+thread too), so SVD_STACK_MAX is 4,096 entries (64 x 64).  The two builds
+gave the same bits on every shape tried (9,460 matrices up to 100 x 400).
 
 Entropies are summed left to right, -w log2 w over a block's weights and
 then the blocks in index order, so a spectrum's `total_entropy` and the
@@ -52,7 +55,7 @@ from scipy.special import xlogy
 from . import hamiltonian
 from .basis import BasisTable, BipartiteBlock, BipartiteIndex, Sector, bipartite_factorize
 from .lattice import Bipartition, Geometry
-from .solver import DegenerateManifold
+from .solver import DegenerateManifold, _column_chunks
 
 __all__ = [
     "RDMSpectrum",
@@ -204,9 +207,9 @@ def _weight_rows(
     eigenvalues of the RDM averaged over the orthonormal columns [i, j) =
     ranges[r] of `vectors`: the squared singular values of that manifold's M
     over g = j - i, descending, zero below WEIGHT_FLOOR and zero-padded on
-    the right.  The vectors are permuted once for all ranges; the M of the
-    ranges of one g are stacked and split across the row-block pool, each
-    chunk writing its own rows of W."""
+    the right.  The vectors are permuted once for all the ranges of the
+    call (`_manifold_entropies` passes one column chunk at a time), and the
+    M of the ranges of one g are stacked for one SVD call."""
     if vectors.shape[0] != basis.dim:
         raise EntanglementError(
             f"vector length {vectors.shape[0]} does not match the basis dimension {basis.dim}"
@@ -232,13 +235,9 @@ def _weight_rows(
                     w[r, : len(sigma)] = sigma * sigma / g
                 continue
             columns = np.array([ranges[r][0] for r in rows])[:, None] + np.arange(g)
-
-            def chunk(a: int, b: int) -> None:
-                stack = m[:, columns[a:b]].reshape(left, b - a, g * right).transpose(1, 0, 2)
-                sigma = np.linalg.svd(stack, compute_uv=False)
-                w[rows[a:b], : sigma.shape[1]] = sigma * sigma / g
-
-            hamiltonian._in_blocks(chunk, len(rows), -(-len(rows) // hamiltonian._workers()))
+            stack = m[:, columns].reshape(left, len(rows), g * right).transpose(1, 0, 2)
+            sigma = np.linalg.svd(stack, compute_uv=False)
+            w[rows, : sigma.shape[1]] = sigma * sigma / g
         w[w < WEIGHT_FLOOR] = 0.0
         yield block, w
 
@@ -265,14 +264,26 @@ def _manifold_entropies(
     cut: Bipartition | BipartiteIndex,
     ranges: Sequence[tuple[int, int]],
 ) -> np.ndarray:
-    """Averaged-RDM entropy of every manifold [i, j) of `ranges` among the
+    """Averaged-RDM entropy of every manifold [i, j) of `ranges` (ascending
+    and adjacent, as `solver._degenerate_ranges` gives them) among the
     orthonormal columns of `vectors`, bit for bit the `total_entropy` of its
-    `degenerate_average`, from one pass over the blocks."""
+    `degenerate_average`.  The ranges are taken in the column chunks of
+    `solver._column_chunks`, split across the row-block pool; each chunk's
+    columns are permuted on their own, in one pass over the blocks, and
+    the chunk adds only its own ranges' entropies and weights."""
+    index = _resolve_index(basis, cut)
+    runs = list(_column_chunks(ranges, vectors.shape[0]))
+    first = np.cumsum([0] + [len(run) for run in runs])
     total = np.zeros(len(ranges))
     weight = np.zeros(len(ranges))
-    for _, w in _weight_rows(vectors, basis, cut, ranges):
-        total += _row_entropies(w)
-        weight += w.sum(axis=1)
+
+    def walk(c: int, _: int) -> None:  # chunk c
+        i0, j0, rows = runs[c][0][0], runs[c][-1][1], slice(first[c], first[c + 1])
+        for _, w in _weight_rows(vectors[:, i0:j0], basis, index, [(i - i0, j - i0) for i, j in runs[c]]):
+            total[rows] += _row_entropies(w)
+            weight[rows] += w.sum(axis=1)
+
+    hamiltonian._in_blocks(walk, len(runs), 1)
     bad = np.abs(weight - 1.0) > 1e-10
     if bad.any():
         raise EntanglementError(f"RDM eigenvalues sum to {float(weight[bad][0])!r}, expected 1")

@@ -8,6 +8,7 @@ permutation are all frozen, so geometries can be shared freely.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -25,6 +26,13 @@ __all__ = [
     "format_geometry",
     "half_cut",
 ]
+
+
+# Edge lengths `build_icosahedron` takes, checked before any coordinate
+# arithmetic: the diameter is 1.902 edges, so its square stays below the
+# largest float, and the C2 axis (an edge midpoint, 0.809 edges from the
+# centre) has a squared norm of at least the smallest normal float.
+ICOSAHEDRON_EDGE_RANGE = (math.sqrt(sys.float_info.min) / 0.8, math.sqrt(sys.float_info.max) / 2.0)
 
 
 class GeometryError(ValueError):
@@ -216,6 +224,12 @@ def build_icosahedron(edge_length: float = 1.397) -> Geometry:
     """
     if not 0 < edge_length < np.inf:
         raise GeometryError(f"edge_length must be positive and finite, got {edge_length}")
+    low, high = ICOSAHEDRON_EDGE_RANGE
+    if not low <= edge_length <= high:
+        raise GeometryError(
+            f"edge_length must lie in [{low:.6g}, {high:.6g}], where the squared pair distances "
+            f"stay finite and the C2 axis keeps a normal squared norm, got {edge_length}"
+        )
     coords = _icosahedron_coords(edge_length)
     bonds = _min_distance_pairs(coords)
     axis = 0.5 * (coords[0] + coords[1])

@@ -27,10 +27,15 @@ read off the rows of H at the orbit representatives, used as read.
 `dense_subspace_spectrum` diagonalizes that block densely; `lowest_in_label`
 takes each Lanczos state as the stream draws it, up to k + 40, and lifts it
 with Q and checks it on the full H once.  Each builds the sparse S+ of
-`symmetry.raising_operator` once, raises each state once, and ends in one
+`symmetry.raising_operator` once, raises each state once, and ends in the
 spin step on those images, `sharpen_spin`: it rotates each degenerate
 manifold to sharp S^2 from the Gram matrix of its images, reads <S^2> off
-them and keeps the states of one total spin; dense residuals come after it.
+them and keeps the states of one total spin.  A dense block does that in
+column chunks of about _CHUNK lifted entries that end on manifold
+boundaries, each lifted, raised, sharpened and checked on the full H on
+its own, so no (dim, block) lift is held; every column is computed alone
+and a spin step mixes only the columns of one manifold, so the chunks
+change no bit.
 `lowest_in_label` takes the first k and checks them against the projector P
 itself, not Q: `P @ block` must leave every vector within 1e-8.
 """
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,6 +80,13 @@ __all__ = [
 DENSE_CAP_DEFAULT = 20000
 MAX_MATVECS_DEFAULT = 100000  # the product budget of one Lanczos solve
 DEGENERATE_RTOL = 1e-9  # every degenerate grouping: |E - E_first| <= rtol * max(1, |E_first|)
+# Entries of one column chunk of a dense spectrum (`_column_chunks`).  On the
+# 8-site Hubbard (C2+, eh+, S = 0) block (dim 4,900; 2 cores, 2 OpenBLAS
+# threads) chunks of 2^16, 2^17, 2^18, 2^19 and 2^20 entries peaked at 31.6,
+# 33.6, 37.2, 44.1 and 57.5 MiB of tracemalloc in the solve and at 1.7, 3.2,
+# 5.8, 12.7 and 24.7 MiB in its entropies, which took 261-319, 183-187,
+# 166-185, 139-158 and 129-152 ms (two sweeps; the solve 170-250 ms at each).
+_CHUNK = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -189,7 +201,9 @@ def _symmetry_block(
 
 
 def dense_spectrum(operator) -> EigenSet:
-    """All eigenpairs of a Hermitian operator of at most DENSE_CAP_DEFAULT states, ascending."""
+    """All eigenpairs of a Hermitian operator of at most DENSE_CAP_DEFAULT
+    states, ascending; the residuals are computed in the column chunks of
+    `_column_chunks`, so no (dim, dim) temporary is formed."""
     mat = _as_matrix(operator)
     if mat.shape[0] > DENSE_CAP_DEFAULT:
         raise DimensionCapError(
@@ -198,7 +212,10 @@ def dense_spectrum(operator) -> EigenSet:
     dense = mat.toarray() if sp.issparse(mat) else mat
     vals, vecs = sla.eigh(dense)
     vecs = _canonical_sign(vecs)
-    res = np.linalg.norm(dense @ vecs - vecs * vals[None, :], axis=0)
+    res = np.empty(len(vals))
+    for run in _column_chunks(_degenerate_ranges(vals), len(vals)):
+        a, b = run[0][0], run[-1][1]
+        res[a:b] = _residual_norms(dense, vecs[:, a:b], vals[a:b])
     return EigenSet(values=vals, vectors=vecs, residuals=res)
 
 
@@ -210,11 +227,14 @@ def dense_subspace_spectrum(
 ) -> EigenSet:
     """Full spectrum of one (C2, eh) symmetry block of the operator's sector.
 
-    Q^T H Q is diagonalized densely, the vectors are lifted back to sector
-    coordinates, degenerate manifolds are rotated to sharp S^2, with `spin`
-    only the states of that total spin are kept (at 2M_S = 0 the block is
-    then the spin-flip block of parity (-1)^S), and the residuals are those
-    of the vectors returned.  Either parity may be None to skip a symmetry.
+    Q^T H Q is diagonalized densely and its eigenvectors are taken in the
+    column chunks of `_column_chunks`: each chunk is lifted back to sector
+    coordinates, its manifolds are rotated to sharp S^2, with `spin` only
+    the states of that total spin are kept (at 2M_S = 0 the block is then
+    the spin-flip block of parity (-1)^S), and the kept states and their
+    residuals are written into the head of arrays sized for the whole
+    block, which are then cut to the states kept.  Either parity may be
+    None to skip a symmetry.
     """
     name = f"(C2 {c2_parity}, eh {eh_parity})"
     _, q, block = _symmetry_block(operator, c2_parity, eh_parity, spin, name)
@@ -222,13 +242,23 @@ def dense_subspace_spectrum(
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
     vals, y = sla.eigh(block.toarray())
-    found = EigenSet(vals, q @ y, np.zeros(m))
-    eig = sharpen_spin(found, raising_operator(operator.basis) @ found.vectors, operator.basis, spin)
-    del found  # not held through the residuals
-    if not eig.k:
+    raising, n = raising_operator(operator.basis), 0
+    # the kept states fill the head of each; the rest is never written
+    values, rows, residuals = np.empty(m), np.empty((m, q.shape[0])), np.empty(m)
+    for run in _column_chunks(_degenerate_ranges(vals), q.shape[0]):
+        a, b = run[0][0], run[-1][1]
+        lifted = q @ y[:, a:b]
+        part = sharpen_spin(
+            EigenSet(vals[a:b], lifted, np.zeros(b - a)), raising @ lifted, operator.basis, spin
+        )
+        del lifted  # not held through the residuals
+        values[n:n + part.k], rows[n:n + part.k] = part.values, part.vectors.T
+        residuals[n:n + part.k] = _residual_norms(operator.matrix, part.vectors, part.values)
+        n += part.k
+    if not n:
         raise SolverError(f"no states of total spin {spin} in the {name} symmetry subspace")
-    eig.residuals = np.linalg.norm(operator.matrix @ eig.vectors - eig.vectors * eig.values[None, :], axis=0)
-    return eig
+    rows.resize((n, q.shape[0]), refcheck=False)  # in place: the unwritten rows are given back
+    return EigenSet(values[:n], rows.T, residuals[:n])
 
 
 def lanczos_lowest(operator, k: int = 1, tol: float = 1e-10, seed: int = 1) -> EigenSet:
@@ -415,6 +445,31 @@ def _degenerate_ranges(values: np.ndarray) -> Iterator[tuple[int, int]]:
             j += 1
         yield i, j
         i = j
+
+
+def _column_chunks(ranges: Iterable[tuple[int, int]], dim: int) -> Iterator[list[tuple[int, int]]]:
+    """Runs of consecutive ranges [i, j) (ascending and adjacent, as
+    `_degenerate_ranges` gives them) whose columns of `dim` entries hold at
+    most _CHUNK entries together, or one range that alone holds more: a
+    chunk ends on a range boundary, so no degenerate manifold is split."""
+    width, run = max(1, _CHUNK // max(1, dim)), []
+    for i, j in ranges:
+        if run and j - run[0][0] > width:
+            yield run
+            run = []
+        run.append((i, j))
+    if run:
+        yield run
+
+
+def _residual_norms(mat, vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """||H v - lambda v|| of every column, summed down the column in row
+    order as `np.linalg.norm(axis=0)` sums two or more C-ordered columns; it
+    sums a lone column pairwise, which would tie the bits to the chunk width."""
+    r = mat @ vectors
+    r -= vectors * values
+    r *= r
+    return np.sqrt(np.cumsum(r, axis=0, out=r)[-1])
 
 
 def group_degenerate(eigenset: EigenSet) -> list[DegenerateManifold]:

@@ -447,6 +447,22 @@ def test_overflowing_chain_exit_2(tmp_path, capsys):
     assert "Warning" not in captured.err and f"config error: {message}" in captured.err
 
 
+def test_extreme_icosahedron_edge_exit_2(tmp_path, capsys):
+    # an edge of 1e308 overflows the squared distances and one of 1e-320
+    # underflows the C2 axis: both are refused up front, with the range
+    message = "edge_length must lie in [1.86459e-154, 6.7039e+153]"
+    for edge in ("1e308", "1e-320"):
+        assert main(["geometry", "emit", "icosahedron", "--edge-length", edge]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert "Warning" not in captured.err and "internal error" not in captured.err
+        text = SOLVE_CFG.format(out=tmp_path / "out").replace("kind = chain\nn_sites = 2\nbond_length = 1.0",
+                                                              f"kind = icosahedron\nedge_length = {edge}")
+        assert main(["run", str(_write(tmp_path, "ico.cfg", text))]) == 2
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err and f"config error: {message}" in captured.err
+
+
 def test_tables_multiplets_negative_sites_exit_2(capsys):
     assert main(["tables", "multiplets", "-1"]) == 2
     captured = capsys.readouterr()

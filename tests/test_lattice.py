@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edkit.lattice import (
     Bipartition,
     Geometry,
+    ICOSAHEDRON_EDGE_RANGE,
     GeometryError,
     build_chain,
     build_icosahedron,
@@ -55,6 +56,20 @@ def test_icosahedron_combinatorics():
         degree[i - 1] += 1
         degree[j - 1] += 1
     assert np.all(degree == 5)
+
+
+def test_icosahedron_edge_range():
+    # refused before any coordinate arithmetic where a squared pair distance
+    # overflows or the C2 axis's squared norm underflows; the suite turns
+    # NumPy's warnings into errors, so the bounds themselves build quietly
+    low, high = ICOSAHEDRON_EDGE_RANGE
+    for edge in (1e308, 1e-320, np.nextafter(low, 0.0), np.nextafter(high, np.inf)):
+        with pytest.raises(GeometryError, match=r"edge_length must lie in \[1.86459e-154, 6.7039e\+153\]"):
+            build_icosahedron(float(edge))
+    reference = build_icosahedron()
+    for edge in (low, low * (1 + 1e-12), high * (1 - 1e-12), high):
+        g = build_icosahedron(float(edge))
+        assert g.bonds == reference.bonds and g.c2_perm == reference.c2_perm
 
 
 def test_icosahedron_edge_lengths_equal():

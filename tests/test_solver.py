@@ -845,3 +845,84 @@ def test_deflated_stream_reaches_state_98_of_five_site_sector():
     h = build_model(build_chain(5), HUBBARD, Sector(5, 1))
     eig = lanczos_lowest(h, k=98)
     assert np.abs(eig.values - dense_spectrum(h).values[:98]).max() <= 1e-9
+
+
+CHUNK_BLOCKS = [
+    pytest.param(build_icosahedron(1.397), ModelSpec(kind="heisenberg", J=1.0, site_spin=0.5), Sector(None, 0),
+                 c2, None, s, 6, id=f"icosahedron-C2{'+' if c2 > 0 else '-'}-S{s:g}")
+    for c2 in (1, -1) for s in (0.0, 1.0)
+] + [pytest.param(build_chain(8, 1.397), HUBBARD, Sector(8, 0), 1, 1, 0.0, 4, id="hubbard8-C2+-eh+-S0")]
+
+
+@pytest.mark.parametrize("g, spec, sector, c2, eh, spin, left", CHUNK_BLOCKS)
+def test_column_chunks_change_no_bit_and_split_no_manifold(g, spec, sector, c2, eh, spin, left, monkeypatch):
+    # a dense block is lifted, spin-sharpened and checked in column chunks
+    # that end on degenerate-manifold boundaries, and its entropies are
+    # taken in the same chunks on the row-block pool; chunks of three
+    # columns give the bits of one chunk, and every spin step sees whole
+    # manifolds
+    import sys
+
+    import edkit.solver
+    from edkit.analysis import entropy_profile
+    from edkit.lattice import half_cut
+
+    h = build_model(g, spec, sector)
+    runs = {}
+    for name, chunk in (("one", 1 << 40), ("three", 3 * h.dim)):
+        monkeypatch.setattr(edkit.solver, "_CHUNK", chunk)
+        calls = []
+
+        def spy(eigenset, images, basis, spin=None):
+            calls.append(eigenset.values)
+            return sharpen_spin(eigenset, images, basis, spin)
+
+        monkeypatch.setattr(edkit.solver, "sharpen_spin", spy)
+        eig = dense_subspace_spectrum(h, c2, eh, spin)
+        monkeypatch.setattr(hamiltonian, "_workers", lambda: 4)  # a pool of more threads than cores
+        monkeypatch.setattr(hamiltonian, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            profile = entropy_profile(eig, h.basis, half_cut(g, left))
+        finally:
+            sys.setswitchinterval(interval)
+            if hamiltonian._pool is not None:
+                hamiltonian._pool.shutdown()
+        runs[name] = (eig.values, eig.vectors, eig.residuals, profile.y), calls
+    (one, [block]), (three, calls) = runs["one"], runs["three"]
+    for a, b in zip(one, three):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    ranges = list(edkit.solver._degenerate_ranges(block))
+    ends = {j for _, j in ranges}
+    assert max(j - i for i, j in ranges) > 1  # the block has degenerate manifolds
+    assert any(i // 3 != (j - 1) // 3 for i, j in ranges if j - i > 1)  # that fixed-width chunks would split
+    assert len(calls) > 1 and np.concatenate(calls).tobytes() == block.tobytes()
+    assert all(len(c) <= 3 or len(list(edkit.solver._degenerate_ranges(c))) == 1 for c in calls)
+    assert all(end in ends for end in np.cumsum([len(c) for c in calls]))
+
+
+def test_dense_block_and_its_profile_hold_only_a_chunk_beyond_their_result():
+    # the 8-site (C2+, eh+, S = 0) block keeps 485 of its states, 18.1 MiB
+    # of vectors; lifting, raising and checking the whole block at once
+    # peaked at 73.9 MiB, and permuting every column for the entropies at
+    # 28.2 MiB over the vectors
+    import tracemalloc
+
+    from edkit.analysis import entropy_profile
+    from edkit.lattice import half_cut
+
+    g = build_chain(8, 1.397)
+    h = build_model(g, HUBBARD, Sector(8, 0))
+
+    def traced(step):
+        tracemalloc.start()
+        try:
+            return step(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    eig, solve_peak = traced(lambda: dense_subspace_spectrum(h, 1, 1, 0.0))
+    _, profile_peak = traced(lambda: entropy_profile(eig, h.basis, half_cut(g, 4)))
+    assert eig.k == 485 and eig.vectors.nbytes > 18 * 2**20
+    assert solve_peak < 45 * 2**20 and profile_peak < 15 * 2**20
