@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .basis import BasisTable, Sector
+from .basis import BasisTable, BipartiteIndex, Sector
 from .entanglement import _manifold_entropies, schmidt_spectrum
 from .hamiltonian import ModelSpec, build_model
 from .lattice import Bipartition, Geometry, build_chain, half_cut
@@ -145,11 +145,16 @@ def _paper_smoothing_groups(n: int) -> list[list[int]]:
     return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-def _state_entropies(eigenset: EigenSet, basis: BasisTable, bipartition: Bipartition) -> np.ndarray:
-    """Per-state entropies; the members of a degenerate manifold share its averaged-RDM entropy."""
-    ranges = list(_degenerate_ranges(eigenset.values))
-    entropies = _manifold_entropies(eigenset.vectors, basis, bipartition, ranges)
-    return np.repeat(entropies, [j - i for i, j in ranges])
+def _state_entropies(eigenset: EigenSet, basis: BasisTable, cut: Bipartition | BipartiteIndex) -> np.ndarray:
+    """Per-state entropies (a copy), each the averaged-RDM entropy of its degenerate
+    manifold; the read-only eigenset keeps them per bipartition and basis object."""
+    bipartition = cut.bipartition if isinstance(cut, BipartiteIndex) else cut
+    held = eigenset._entropies.get(bipartition)
+    if held is None or held[0] is not basis:
+        ranges = list(_degenerate_ranges(eigenset.values))
+        entropies = _manifold_entropies(eigenset.vectors, basis, cut, ranges)
+        held = eigenset._entropies[bipartition] = basis, np.repeat(entropies, [j - i for i, j in ranges])
+    return held[1].copy()
 
 
 def entropy_profile(
@@ -168,7 +173,8 @@ def entropy_profile(
 
     Each member of a degenerate manifold (energies within DEGENERATE_RTOL)
     carries the manifold-averaged RDM entropy, `degenerate_average`, so the
-    profile does not depend on the basis the eigensolver returns.
+    profile does not depend on the basis the eigensolver returns.  Its
+    entropies are taken once per eigenset, basis and cut (`_state_entropies`).
     """
     energies = eigenset.values
     entropies = _state_entropies(eigenset, basis, bipartition)
@@ -358,7 +364,8 @@ def entropy_vs_logdos(
 
     The Spearman rank correlation over non-empty bins operationalizes the
     observed proportionality between entropy and log(DoS); with fewer than
-    four non-empty bins it is undefined and reported as None.
+    four non-empty bins it is undefined and reported as None.  It reuses the
+    entropies of an `entropy_profile` of the same eigenset, basis and cut.
     """
     e_min, idx = _energy_bins(eigenset.values, bin_width)
     entropies = _state_entropies(eigenset, basis, bipartition)

@@ -43,7 +43,7 @@ itself, not Q: `P @ block` must leave every vector within 1e-8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,12 +80,8 @@ __all__ = [
 DENSE_CAP_DEFAULT = 20000
 MAX_MATVECS_DEFAULT = 100000  # the product budget of one Lanczos solve
 DEGENERATE_RTOL = 1e-9  # every degenerate grouping: |E - E_first| <= rtol * max(1, |E_first|)
-# Entries of one column chunk of a dense spectrum (`_column_chunks`).  On the
-# 8-site Hubbard (C2+, eh+, S = 0) block (dim 4,900; 2 cores, 2 OpenBLAS
-# threads) chunks of 2^16, 2^17, 2^18, 2^19 and 2^20 entries peaked at 31.6,
-# 33.6, 37.2, 44.1 and 57.5 MiB of tracemalloc in the solve and at 1.7, 3.2,
-# 5.8, 12.7 and 24.7 MiB in its entropies, which took 261-319, 183-187,
-# 166-185, 139-158 and 129-152 ms (two sweeps; the solve 170-250 ms at each).
+# Entries of one column chunk of a dense spectrum (`_column_chunks`): the
+# memory/time knee of the 8-site block sweep of 2^16-2^20 in CHANGES.md.
 _CHUNK = 1 << 18
 
 
@@ -107,6 +103,8 @@ class NonConvergenceError(SolverError):
 class EigenSet:
     """Ascending eigenvalues with matching orthonormal vectors and residuals.
 
+    `values` and `vectors` are read-only views (a write raises ValueError),
+    so the entropies `analysis` keeps per cut in `_entropies` cannot go stale.
     `matvecs` is the number of H products the solve made (a (dim, k) block
     counts k); it is run telemetry and is not archived.
     """
@@ -116,6 +114,7 @@ class EigenSet:
     residuals: np.ndarray
     labels: list[str] | None = None
     matvecs: int = 0
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -123,14 +122,15 @@ class EigenSet:
         self.residuals = np.asarray(self.residuals, dtype=float)
         if self.vectors.ndim != 2 or self.vectors.shape[1] != len(self.values):
             raise SolverError("vectors must be (dim, k) matching the eigenvalue count")
-        if np.all(self.values[:-1] <= self.values[1:]):
-            return  # already ascending: the stable sort would copy for nothing
-        order = np.argsort(self.values, kind="stable")
-        self.values = self.values[order]
-        self.vectors = self.vectors[:, order]
-        self.residuals = self.residuals[order]
-        if self.labels is not None:
-            self.labels = [self.labels[i] for i in order]
+        if not np.all(self.values[:-1] <= self.values[1:]):  # ascending needs no sort, and no copy
+            order = np.argsort(self.values, kind="stable")
+            self.values = self.values[order]
+            self.vectors = self.vectors[:, order]
+            self.residuals = self.residuals[order]
+            if self.labels is not None:
+                self.labels = [self.labels[i] for i in order]
+        self.values, self.vectors = self.values.view(), self.vectors.view()
+        self.values.flags.writeable = self.vectors.flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -202,20 +202,23 @@ def _symmetry_block(
 
 def dense_spectrum(operator) -> EigenSet:
     """All eigenpairs of a Hermitian operator of at most DENSE_CAP_DEFAULT
-    states, ascending; the residuals are computed in the column chunks of
-    `_column_chunks`, so no (dim, dim) temporary is formed."""
+    states, ascending.  `eigh` overwrites its Fortran-ordered copy of a sparse
+    operator, never a dense array passed in; the residuals are taken on the
+    operator as given, in the column chunks of `_column_chunks`."""
     mat = _as_matrix(operator)
     if mat.shape[0] > DENSE_CAP_DEFAULT:
         raise DimensionCapError(
             f"dimension {mat.shape[0]} exceeds the dense cap {DENSE_CAP_DEFAULT}; use lanczos_lowest"
         )
-    dense = mat.toarray() if sp.issparse(mat) else mat
-    vals, vecs = sla.eigh(dense)
+    if sp.issparse(mat):
+        vals, vecs = sla.eigh(mat.toarray(order="F"), overwrite_a=True)
+    else:
+        vals, vecs = sla.eigh(mat)
     vecs = _canonical_sign(vecs)
     res = np.empty(len(vals))
     for run in _column_chunks(_degenerate_ranges(vals), len(vals)):
         a, b = run[0][0], run[-1][1]
-        res[a:b] = _residual_norms(dense, vecs[:, a:b], vals[a:b])
+        res[a:b] = _residual_norms(mat, vecs[:, a:b], vals[a:b])
     return EigenSet(values=vals, vectors=vecs, residuals=res)
 
 
@@ -241,7 +244,7 @@ def dense_subspace_spectrum(
     m = block.shape[0]
     if m > DENSE_CAP_DEFAULT:
         raise DimensionCapError(f"subspace dimension {m} exceeds the dense cap {DENSE_CAP_DEFAULT}")
-    vals, y = sla.eigh(block.toarray())
+    vals, y = sla.eigh(block.toarray(order="F"), overwrite_a=True)
     raising, n = raising_operator(operator.basis), 0
     # the kept states fill the head of each; the rest is never written
     values, rows, residuals = np.empty(m), np.empty((m, q.shape[0])), np.empty(m)

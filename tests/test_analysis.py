@@ -229,6 +229,54 @@ def test_entropy_vs_logdos_structure():
     assert wide.spearman is None  # fewer than 4 bins
 
 
+def test_entropies_are_taken_once_per_eigenset_basis_and_cut(monkeypatch):
+    # an eigenset keeps its per-state entropies per cut, so a profile and the
+    # DoS comparison of the same states take every Schmidt SVD once
+    import edkit.analysis
+    from edkit.basis import bipartite_factorize
+
+    g, spec = build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=4.0)
+    h = build_model(g, spec, Sector(6, 0))
+    eig, cut = dense_spectrum(h), half_cut(g, 3)
+    fresh = EigenSet(eig.values.copy(), eig.vectors.copy(), eig.residuals.copy())
+    calls = []
+    kernel = edkit.analysis._manifold_entropies
+    monkeypatch.setattr(edkit.analysis, "_manifold_entropies", lambda *a: calls.append(a) or kernel(*a))
+
+    profile = entropy_profile(eig, h.basis, cut)
+    comp = entropy_vs_logdos(eig, h.basis, cut)
+    entropy_profile(eig, h.basis, half_cut(g, 3), smoothing="energy_bin")  # an equal cut
+    entropy_profile(eig, h.basis, bipartite_factorize(h.basis, cut))  # its index
+    assert len(calls) == 1
+    ref = entropy_vs_logdos(fresh, h.basis, cut)
+    assert len(calls) == 2
+    for name in ("energy", "mean_entropy", "log2_dos"):
+        assert getattr(comp, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert comp.spearman == ref.spearman
+
+    # a caller's write into a returned profile changes no later result
+    want = profile.y.copy()
+    profile.y[:] = -1.0
+    assert entropy_profile(eig, h.basis, cut).y.tobytes() == want.tobytes()
+    assert len(calls) == 2
+
+    # another cut, or another basis object of the same sector, recomputes
+    entropy_profile(eig, h.basis, half_cut(g, 2))
+    assert len(calls) == 3
+    other = build_model(g, spec, Sector(6, 0)).basis
+    assert entropy_profile(eig, other, cut).y.tobytes() == want.tobytes()
+    assert len(calls) == 4
+
+    # the arrays the entropies were taken from cannot change under the eigenset
+    with pytest.raises(ValueError, match="read-only"):
+        eig.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        eig.values += 1.0
+    values = np.array([0.0, 1.0])
+    EigenSet(values, np.eye(2), np.zeros(2))
+    assert values.flags.writeable  # the caller's own array keeps its flags
+
+
 def test_profile_dome_shape_eight_site_subspace():
     g = build_chain(8)
     eig, basis = subspace_spectrum(

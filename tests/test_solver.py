@@ -62,6 +62,34 @@ def test_dense_cap(monkeypatch):
         dense_spectrum(h)
 
 
+def test_dense_spectrum_holds_two_matrices_and_keeps_a_dense_input():
+    # eigh overwrites its own Fortran-ordered copy of a sparse H, with the
+    # bits of eigh on the C-ordered dense H; densifying C-ordered, as before,
+    # also held eigh's copy of it: three (dim, dim) arrays
+    import tracemalloc
+
+    import scipy.linalg as sla
+
+    h = build_model(build_chain(7), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(7, 1))
+    assert h.dim == 1225
+    tracemalloc.start()
+    try:
+        eig = dense_spectrum(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = h.matrix.toarray()
+    vals, vecs = sla.eigh(dense)
+    assert eig.values.tobytes() == vals.tobytes()
+    assert eig.vectors.tobytes() == _canonical_sign(vecs).tobytes()
+    assert peak < 2.5 * h.dim**2 * 8
+    # a dense array passed in is not overwritten, even when Fortran-ordered
+    dense = np.asfortranarray(dense)
+    kept = dense.copy()
+    assert dense_spectrum(dense).values.tobytes() == vals.tobytes()
+    assert np.array_equal(dense, kept)
+
+
 def test_dense_vs_lanczos_every_sector_six_sites():
     g = build_chain(6)
     for spec in (ModelSpec(kind="hubbard", t=-1.0, U=4.0), ModelSpec(kind="ppp", t=-2.4, U=11.26)):
