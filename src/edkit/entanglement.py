@@ -27,13 +27,8 @@ SVD_STACK_MAX entries, are stacked and go to NumPy's `np.linalg.svd`, whose
 gufunc releases the GIL, so the chunks on the pool run it side by side;
 SciPy's f2py wrapper holds it, so SciPy's calls run one at a time.  A larger
 M stays on SciPy's dgesdd, `_singular_values`, which OpenBLAS threads
-itself.  Per n x n matrix over three sweeps (2 cores, 2 OpenBLAS threads),
-SciPy's loop against a stack split across the pool: n = 10, 10.5-11.7 and
-3.7-4.3 us; 36, 60-66 and 30-32 us; 64, 195-198 and 96-128 us; 72, 240-249
-and 123-163 us; 80, 269-305 and 309-320 us; 100, 691-826 and 643-1247 us.
-The stack wins through 72 x 72 and loses from 80 x 80 on (at 1 OpenBLAS
-thread too), so SVD_STACK_MAX is 4,096 entries (64 x 64).  The two builds
-gave the same bits on every shape tried (9,460 matrices up to 100 x 400).
+itself.  SVD_STACK_MAX (64 x 64) lies below the size where the pooled stack
+stops beating SciPy's loop, and the two builds agree bit for bit (CHANGES.md).
 
 Entropies are summed left to right, -w log2 w over a block's weights and
 then the blocks in index order, so a spectrum's `total_entropy` and the
@@ -72,6 +67,7 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-16
+_N_DECADES = 16  # bins of `decade_histogram`: the decades down to WEIGHT_FLOOR
 SVD_STACK_MAX = 4096  # entries of the largest M stacked for NumPy's SVD
 
 
@@ -311,21 +307,21 @@ def entropy_both_sides(
     return s_left, s_right
 
 
-def decade_histogram(spectrum: RDMSpectrum | np.ndarray, n_decades: int = 16) -> np.ndarray:
-    """Counts n_p of eigenvalues with 10^-p > w >= 10^-(p+1), p = 0..n_decades-1.
+def decade_histogram(spectrum: RDMSpectrum | np.ndarray) -> np.ndarray:
+    """Counts n_p of eigenvalues with 10^-p > w >= 10^-(p+1), p = 0..15.
 
     Exact powers of ten land in the lower-p bin (strict upper bound); w = 1
     is clamped into bin 0; values below the 1e-16 floor are dropped.
     """
     w = spectrum.weights if isinstance(spectrum, RDMSpectrum) else np.asarray(spectrum, float)
     w = w[w >= WEIGHT_FLOOR]
-    counts = np.zeros(n_decades, dtype=np.int64)
+    counts = np.zeros(_N_DECADES, dtype=np.int64)
     if w.size == 0:
         return counts
     r = -np.log10(w)
     snapped = np.where(np.abs(r - np.round(r)) < 1e-9, np.round(r), r)
     p = np.ceil(snapped).astype(np.int64) - 1
-    p = np.clip(p, 0, n_decades - 1)
+    p = np.clip(p, 0, _N_DECADES - 1)
     np.add.at(counts, p, 1)
     return counts
 

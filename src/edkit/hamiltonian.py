@@ -22,10 +22,8 @@ Kronecker sum it is: with the vector reshaped to the n_up x n_dn layout X
 of the sector, H x is T_up X + (T_dn Xᵀ)ᵀ + D * X.  It runs in blocks of
 rows of X of about 2^16 entries, one pool worker per CPU, and each entry is
 summed as the whole-vector formula sums it, so the bits do not depend on
-the CPU count.  At 12 sites (2-core Xeon) a product takes 5.0-5.2 ms on
-two workers and 7.4-8.1 ms on one, against 12 ms for the whole-vector
-formula and 16-17 ms for the CSR product.  A spin operator applies
-`matrix @ x`.
+the CPU count; it beats the whole-vector and CSR products (CHANGES.md).
+A spin operator applies `matrix @ x`.
 """
 
 from __future__ import annotations
@@ -209,16 +207,12 @@ class SparseOperator:
         step, up_rows = self._up_rows
         v = np.reshape(x, diag.shape)
 
-        def block(a: int, b: int) -> np.ndarray:
-            out = up_rows[a // step] @ v
-            out += (t_dn @ v[a:b].T).T
-            out += diag[a:b] * v[a:b]
-            return out
-
         out = np.empty(diag.shape, np.result_type(diag, v))
 
         def rows(a: int, b: int) -> None:
-            out[a:b] = block(a, b)
+            out[a:b] = up_rows[a // step] @ v
+            out[a:b] += (t_dn @ v[a:b].T).T
+            out[a:b] += diag[a:b] * v[a:b]
 
         _in_blocks(rows, len(v), step)
         return out.reshape(-1)
@@ -287,10 +281,8 @@ def _kron_sum(t_up: sp.csr_matrix, t_dn: sp.csr_matrix, diag: np.ndarray) -> sp.
     of row u of T_up and row d of T_dn and a nonzero D_ud, and `indptr` is
     known before any sum.  The sums then run over blocks of rows of about
     2^20 nonzeros, one after another on the calling thread, each written
-    into the final arrays as a whole-matrix sum would give it, so the build
-    holds one full-size matrix instead of the inputs and output of
-    whole-matrix sums (at 12 sites a 175 MiB tracemalloc peak of the whole
-    build against 271).
+    into the final arrays as a whole-matrix sum would give it: the build
+    holds one full-size matrix, not the inputs and output of whole sums.
     """
     nu, nd = diag.shape
     eye_nu, eye_nd = sp.identity(nu, format="csr"), sp.identity(nd, format="csr")

@@ -171,7 +171,7 @@ def _icosahedron_coords(edge: float) -> np.ndarray:
     return coords
 
 
-def _min_distance_pairs(coords: np.ndarray, rtol: float = 1e-9) -> tuple[tuple[int, int], ...]:
+def _min_distance_pairs(coords: np.ndarray) -> tuple[tuple[int, int], ...]:
     n = coords.shape[0]
     d = _pair_distances(coords)
     iu = np.triu_indices(n, k=1)
@@ -179,7 +179,7 @@ def _min_distance_pairs(coords: np.ndarray, rtol: float = 1e-9) -> tuple[tuple[i
     pairs = [
         (int(i) + 1, int(j) + 1)
         for i, j in zip(*iu)
-        if d[i, j] <= dmin * (1.0 + rtol)
+        if d[i, j] <= dmin * (1.0 + 1e-9)
     ]
     return tuple(pairs)
 

@@ -29,13 +29,13 @@ takes each Lanczos state as the stream draws it, up to k + 40, and lifts it
 with Q and checks it on the full H once.  Each builds the sparse S+ of
 `symmetry.raising_operator` once, raises each state once, and ends in the
 spin step on those images, `sharpen_spin`: it rotates each degenerate
-manifold to sharp S^2 from the Gram matrix of its images, reads <S^2> off
-them and keeps the states of one total spin.  A dense block does that in
-column chunks of about _CHUNK lifted entries that end on manifold
-boundaries, each lifted, raised, sharpened and checked on the full H on
-its own, so no (dim, block) lift is held; every column is computed alone
-and a spin step mixes only the columns of one manifold, so the chunks
-change no bit.
+manifold to sharp S^2 from the Gram matrix of its images and keeps the
+states of one total spin, read by `symmetry`'s rule, as `total_spin` reads
+it.  A dense block does that in column chunks of about _CHUNK lifted
+entries that end on manifold boundaries, each lifted, raised, sharpened and
+checked on the full H on its own, so no (dim, block) lift is held; every
+column is computed alone and a spin step mixes only the columns of one
+manifold, so the chunks change no bit.
 `lowest_in_label` takes the first k and checks them against the projector P
 itself, not Q: `P @ block` must leave every vector within 1e-8.
 """
@@ -54,9 +54,10 @@ from . import hamiltonian
 from .basis import BasisTable
 from .hamiltonian import SparseOperator
 from .symmetry import (
-    SPIN_TOL,
     Projector,
     SymmetryLabel,
+    _spin_of,
+    _spin_squares,
     check_model_block,
     format_label,
     projector,
@@ -80,9 +81,7 @@ __all__ = [
 DENSE_CAP_DEFAULT = 20000
 MAX_MATVECS_DEFAULT = 100000  # the product budget of one Lanczos solve
 DEGENERATE_RTOL = 1e-9  # every degenerate grouping: |E - E_first| <= rtol * max(1, |E_first|)
-# Entries of one column chunk of a dense spectrum (`_column_chunks`): the
-# memory/time knee of the 8-site block sweep of 2^16-2^20 in CHANGES.md.
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # entries of one `_column_chunks` chunk: the memory/time knee of a sweep (CHANGES.md)
 
 
 class SolverError(RuntimeError):
@@ -327,10 +326,7 @@ def _gershgorin(mat) -> float:
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b by einsum, not BLAS: a threaded BLAS call leaves its OpenBLAS
     pool spinning, and NumPy's and SciPy's separate pools then stall each
-    other's next call (on 2 cores, a 10-site Schmidt SVD right after a
-    labeled solve took 85 ms against 9 ms; its 100 x 100 blocks are above
-    `entanglement.SVD_STACK_MAX` and still run on SciPy's dgesdd, and with
-    `np.dot` here it still took up to 72 ms)."""
+    other's next call (timings in CHANGES.md)."""
     return float(np.einsum("i,i->", a, b))
 
 
@@ -349,10 +345,9 @@ def _recur(
 
     It runs block by block, so each block of w stays in cache through every
     step, and each entry takes the whole-vector steps in the same order.
-    The blocks stay on the calling thread: on the row-block pool the 12-site
-    2Ag+ block solve ran about a tenth slower (its CSR products then read
-    vectors last written on the other core), and the 12-site ground state
-    gained nothing.
+    The blocks stay on the calling thread: on the row-block pool the CSR
+    products of a block solve then read vectors last written on the other
+    core, and ran slower (CHANGES.md).
     """
     step = hamiltonian._BLOCK
     for a in range(0, len(w), step):
@@ -491,11 +486,11 @@ def sharpen_spin(
 
     `images` is S+ of the columns, raised once by the caller.  Within a
     manifold <v_i| S^2 |v_j> = M(M+1) delta_ij + <S+ v_i | S+ v_j>, so a
-    rotated state's <S^2> is a Gram eigenvalue and a lone state's
-    M(M+1) + |S+ v|^2.
+    rotated state's <S^2> is a Gram eigenvalue and a lone state's is
+    `symmetry._spin_squares`; `symmetry._spin_of` reads S off each.
     """
-    m = basis.sector.twice_ms / 2.0
-    s2 = m * (m + 1.0) + np.einsum("ij,ij->j", images, images)
+    m, twice_ms = basis.sector.twice_ms / 2.0, basis.sector.twice_ms
+    s2 = _spin_squares(images, twice_ms)
     vectors = eigenset.vectors.copy()
     for i, j in _degenerate_ranges(eigenset.values):
         if j - i > 1:
@@ -505,13 +500,10 @@ def sharpen_spin(
     del images  # the caller's temporary, freed before the kept columns are copied
     keep = range(eigenset.k)
     if spin is not None:
-        keep = np.flatnonzero(np.abs(s2 - spin * (spin + 1.0)) <= SPIN_TOL)
+        keep = np.flatnonzero(_spin_of(s2, twice_ms) == spin)
         vectors = vectors[:, keep]
     return EigenSet(
-        values=eigenset.values[keep],
-        vectors=_canonical_sign(vectors),
-        residuals=eigenset.residuals[keep],
-        labels=[eigenset.labels[i] for i in keep] if eigenset.labels else None,
+        values=eigenset.values[keep], vectors=_canonical_sign(vectors), residuals=eigenset.residuals[keep]
     )
 
 

@@ -42,19 +42,18 @@ which only `projector` chooses: C2, eh, then spin inversion of character
 (-1)^S where an integer total spin S is asked of a 2M_S = 0 sector.
 
 Total spin has one path: `raising_operator` is S+ as a sparse matrix from a
-sector to its 2M_S + 2 sector, and every <S^2> = M_S(M_S + 1) + |S+ v|^2 is
-formed with it, by `spin_squared` (for `total_spin` and `classify`) or by
-the solver's one spin step, `solver.sharpen_spin`, on the images its block
-solve raised (S+ is built once per block solve).  On fermions S+ is a sum
-of channel Kronecker products, (-1)^{N_up} sum_i c+_{i,up} ⊗ c_{i,dn},
-built from the basis module's annihilators; on spins it is sqrt(sum_i R_i)
-of its raisers.
+sector to its 2M_S + 2 sector, `_spin_squares` the one <S^2> = M_S(M_S + 1)
++ |S+ v|^2 off its images, and `_spin_of` the one rule that reads S off
+<S^2>.  `total_spin` (so `classify`) and the solver's spin step,
+`solver.sharpen_spin`, read spin through both.  On fermions S+ is a sum of
+channel Kronecker products, (-1)^{N_up} sum_i c+_{i,up} ⊗ c_{i,dn}, built
+from the basis module's annihilators; on spins it is sqrt(sum_i R_i) of its
+raisers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,7 +85,6 @@ __all__ = [
     "spin_flip_operator",
     "projector",
     "spin_occurs",
-    "spin_squared",
     "total_spin",
     "raising_operator",
     "parse_label",
@@ -379,35 +377,42 @@ def raising_operator(basis: BasisTable) -> sp.csr_matrix:
     return sum(_raiser(basis.spin_codes, raised, i, twice) for i in range(n)).sqrt()
 
 
-def spin_squared(vectors: np.ndarray, basis: BasisTable) -> float | np.ndarray:
-    """<S^2> = M_S(M_S + 1) + |S+ v|^2 of a normalized sector vector, or of
-    every column of a (dim, k) block."""
+def _spin_squares(images: np.ndarray, twice_ms: int) -> np.ndarray:
+    """<S^2> = M_S(M_S + 1) + |S+ v|^2 of a vector, or of each column of a
+    block, read off its S+ image (`raising_operator(basis) @ vectors`)."""
+    m = twice_ms / 2.0
+    return m * (m + 1.0) + np.einsum("i...,i...->...", images, images)
+
+
+def total_spin(vectors: np.ndarray, basis: BasisTable) -> float | np.ndarray:
+    """Total spin S of a normalized sector vector (a float), or of every
+    column of a (dim, k) block (an array), with one S+ build; raises
+    MixedSpinError, naming the first <S^2> that is not sharp."""
     vectors = np.asarray(vectors, dtype=float)
-    m = basis.sector.twice_ms / 2.0
-    images = raising_operator(basis) @ vectors
-    s2 = m * (m + 1.0) + np.einsum("i...,i...->...", images, images)
-    return float(s2) if vectors.ndim == 1 else s2
-
-
-def total_spin(vector: np.ndarray, basis: BasisTable) -> float:
-    """Total spin S with <S^2> = S(S+1); raises MixedSpinError otherwise."""
-    return _spin_of(spin_squared(vector, basis), basis.sector.twice_ms)
-
-
-def spin_occurs(twice_s: int, twice_ms: int) -> bool:
-    """Whether a spin-S multiplet has a member at 2M_S: |2M_S| <= 2S, 2S - 2M_S even."""
-    return abs(twice_ms) <= twice_s and (twice_s - twice_ms) % 2 == 0
-
-
-def _spin_of(s2: float, twice_ms: int) -> float:
-    """The S, compatible with 2M_S, whose S(S+1) lies within SPIN_TOL of <S^2>."""
-    twice_s = round(sqrt(1.0 + 4.0 * max(s2, 0.0)) - 1.0)
-    s = twice_s / 2.0
-    if not spin_occurs(twice_s, twice_ms) or abs(s2 - s * (s + 1.0)) > SPIN_TOL:
+    twice_ms = basis.sector.twice_ms
+    s2 = _spin_squares(raising_operator(basis) @ vectors, twice_ms)
+    spins = _spin_of(s2, twice_ms)
+    mixed = np.flatnonzero(np.isnan(spins))
+    if mixed.size:
         raise MixedSpinError(
-            f"<S^2> = {s2:.8f} is not within {SPIN_TOL} of any S(S+1) compatible with 2M_S = {twice_ms}"
+            f"<S^2> = {np.ravel(s2)[mixed[0]]:.8f} is not within {SPIN_TOL} "
+            f"of any S(S+1) compatible with 2M_S = {twice_ms}"
         )
-    return s
+    return float(spins) if vectors.ndim == 1 else spins
+
+
+def spin_occurs(twice_s: int | np.ndarray, twice_ms: int) -> bool | np.ndarray:
+    """Whether a spin-S multiplet has a member at 2M_S: |2M_S| <= 2S, 2S - 2M_S even."""
+    return (abs(twice_ms) <= twice_s) & ((twice_s - twice_ms) % 2 == 0)
+
+
+def _spin_of(s2: float | np.ndarray, twice_ms: int) -> np.ndarray:
+    """The S of each <S^2>: the S compatible with 2M_S whose S(S+1) lies
+    within SPIN_TOL of it, or NaN where there is none."""
+    twice_s = np.round(np.sqrt(1.0 + 4.0 * np.maximum(s2, 0.0)) - 1.0)
+    s = twice_s / 2.0
+    sharp = spin_occurs(twice_s, twice_ms) & (np.abs(s2 - s * (s + 1.0)) <= SPIN_TOL)
+    return np.where(sharp, s, np.nan)
 
 
 def classify(vector: np.ndarray, basis: BasisTable, geometry: Geometry) -> SymmetryLabel:

@@ -314,7 +314,7 @@ def test_lowest_in_label_k2_distinct():
     for i in range(2):
         v = eig.vectors[:, i]
         assert np.linalg.norm(proj.apply(v) - v) <= 1e-8
-        assert total_spin(v, h.basis) == 0.0
+    assert total_spin(eig.vectors, h.basis).tolist() == [0.0, 0.0]
 
 
 def test_dense_subspace_cap_names_the_block_dimension(monkeypatch):
@@ -502,7 +502,7 @@ def test_sharpen_spin_separates_mixed_manifold():
         values=eig.values.copy(), vectors=eig.vectors @ rot, residuals=eig.residuals.copy()
     )
     sharp = sharpen_spin(mixed, raising_operator(h.basis) @ mixed.vectors, h.basis)
-    spins = sorted(total_spin(sharp.vectors[:, i], h.basis) for i in range(2))
+    spins = sorted(total_spin(sharp.vectors, h.basis))
     assert spins == [0.0, 1.0]
 
 
@@ -668,7 +668,7 @@ def test_lowest_in_label_solves_each_block_state_once(monkeypatch):
     # each state on the way once
     h = build_model(build_chain(8), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(8, 0))
     block = dense_subspace_spectrum(h, -1, 1)
-    spins = [total_spin(block.vectors[:, i], h.basis) for i in range(block.k)]
+    spins = total_spin(block.vectors, h.basis)
     even = [s for s in spins if s % 2 == 0]
     drawn = 1 + [i for i, s in enumerate(even) if s == 0.0][1]
     calls = _two_pass_calls(monkeypatch)
@@ -676,7 +676,7 @@ def test_lowest_in_label_solves_each_block_state_once(monkeypatch):
     assert drawn > 2 and len(calls) == drawn
     dense = dense_subspace_spectrum(h, -1, 1, spin=0.0)
     assert np.abs(eig.values - dense.values[:2]).max() < 1e-9
-    assert all(total_spin(eig.vectors[:, i], h.basis) == 0.0 for i in range(2))
+    assert all(total_spin(eig.vectors, h.basis) == 0.0)
 
 
 def test_lowest_states_item_j_is_the_j_state_solve():

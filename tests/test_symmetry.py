@@ -12,6 +12,7 @@ from edkit.symmetry import (
     MixedSpinError,
     SymmetryError,
     SymmetryLabel,
+    _spin_squares,
     c2_operator,
     classify,
     eh_operator,
@@ -20,7 +21,6 @@ from edkit.symmetry import (
     projector,
     raising_operator,
     spin_flip_operator,
-    spin_squared,
     total_spin,
 )
 
@@ -369,7 +369,7 @@ def test_spin_flip_parity_is_minus_one_to_the_s(n, spec, sector):
     eig = sharpen_spin(eig, raising_operator(h.basis) @ eig.vectors, h.basis)
     flip = spin_flip_operator(h.basis)
     parity = np.einsum("ij,ij->j", eig.vectors, flip @ eig.vectors)
-    spins = [total_spin(eig.vectors[:, i], h.basis) for i in range(eig.k)]
+    spins = total_spin(eig.vectors, h.basis)
     assert np.abs(parity - [(-1.0) ** round(s) for s in spins]).max() < 1e-9
 
 
@@ -458,13 +458,30 @@ def test_spin_ladder_consistency():
     g = build_chain(4)
     h = build_model(g, ModelSpec(kind="heisenberg", site_spin=1.0), Sector(None, 2))
     vals, vecs = np.linalg.eigh(h.matrix.toarray())
-    block = spin_squared(vecs, h.basis)
+    images = raising_operator(h.basis) @ vecs
+    block = _spin_squares(images, 2)
+    spins = total_spin(vecs, h.basis)
     for k in range(h.dim):
-        s2 = spin_squared(vecs[:, k], h.basis)
+        s2 = _spin_squares(images[:, k], 2)
         assert block[k] == pytest.approx(s2, abs=1e-12)
-        s = total_spin(vecs[:, k], h.basis)
+        s = spins[k]
         assert s2 == pytest.approx(s * (s + 1), abs=1e-8)
         assert s >= 1.0
+
+
+def test_total_spin_and_sharpen_spin_read_one_rule():
+    # a block's total_spin is its per-column calls, and sharpen_spin keeps
+    # for each S exactly the columns whose total_spin is S
+    h = build_model(build_chain(6), ModelSpec(kind="hubbard", t=-1.0, U=4.0), Sector(6, 0))
+    eig = dense_spectrum(h)
+    images = raising_operator(h.basis) @ eig.vectors
+    sharp = sharpen_spin(eig, images, h.basis)
+    spins = total_spin(sharp.vectors, h.basis)
+    assert spins.tolist() == [total_spin(v, h.basis) for v in sharp.vectors.T]
+    for s in np.unique(spins):
+        kept = sharpen_spin(eig, images, h.basis, spin=s)
+        assert kept.values.tobytes() == sharp.values[spins == s].tobytes()
+        assert kept.vectors.tobytes() == sharp.vectors[:, spins == s].tobytes()
 
 
 def test_mixed_spin_flagged():
@@ -472,9 +489,10 @@ def test_mixed_spin_flagged():
     b = enumerate_sector(g, "heisenberg", Sector(None, 0))
     h = build_model(g, ModelSpec(kind="heisenberg"), Sector(None, 0))
     vals, vecs = np.linalg.eigh(h.matrix.toarray())
-    mixed = (vecs[:, 0] + vecs[:, 1]) / np.sqrt(2)
-    with pytest.raises(MixedSpinError):
-        total_spin(mixed, b)
+    mixed = (vecs[:, 0] + vecs[:, 1]) / np.sqrt(2)  # <S^2> = (0 + 2) / 2
+    for state in (mixed, np.column_stack([vecs[:, 0], mixed, vecs[:, 1]])):
+        with pytest.raises(MixedSpinError, match="<S\\^2> = 1.00000000 "):
+            total_spin(state, b)
 
 
 def test_icosahedron_c2_commutes_with_ppp():
@@ -505,11 +523,9 @@ def test_spin_of_boundaries(twice_ms):
         s = twice_s / 2
         s2 = s * (s + 1)
         if (twice_s - twice_ms) % 2 or twice_s < abs(twice_ms):
-            with pytest.raises(MixedSpinError):
-                _spin_of(s2, twice_ms)
+            assert np.isnan(_spin_of(s2, twice_ms))
             continue
         for d in (0.9 * tol, -0.9 * tol):
             assert _spin_of(s2 + d, twice_ms) == s
         for d in (1.1 * tol, -1.1 * tol):
-            with pytest.raises(MixedSpinError):
-                _spin_of(s2 + d, twice_ms)
+            assert np.isnan(_spin_of(s2 + d, twice_ms))
